@@ -207,7 +207,9 @@ def classify_numeric(
     ns = np.arange(w0, N + 1)
     g = L[w0 : N + 1] / ns
     gmin, gmax = float(np.min(g)), float(np.max(g))
-    _, sup_track = tracking_sum_max(ledger, N)
+    _, log_sup_track = tracking_sum_max(ledger, N, log=True)
+    with np.errstate(over="ignore"):
+        sup_track = float(np.exp(log_sup_track))
     all_n = np.arange(1, N + 1)
     log_sup_p = float(np.max(L[1 : N + 1]))
     log_inf_p = float(np.min(L[1 : N + 1]))
@@ -215,11 +217,14 @@ def classify_numeric(
     estimates = {
         "geomean_window_min": gmin,
         "geomean_window_max": gmax,
-        "sup_tracking_sum": sup_track,
+        "log_sup_tracking_sum": log_sup_track,
         "log_sup_abs_p": log_sup_p,
         "log_inf_abs_p": log_inf_p,
         "log_sup_n_abs_p": log_sup_np,
     }
+    if math.isfinite(sup_track):
+        # JSON has no infinity: past ~709 only the log estimate is reported
+        estimates["sup_tracking_sum"] = sup_track
 
     def verdict(status, criterion, constant=None, witness=None):
         return StabilityVerdict(
@@ -281,8 +286,18 @@ def tracking_constant(
             return float(v.constant)
         _, sup_track = tracking_sum_max(ledger, min(cfg.N, ledger.horizon))
         return float(sup_track)
-    # expanding: reverse log-sum-exp of the reciprocal products
-    N = min(cfg.N, ledger.horizon)
+    return series_envelope(ledger, min(cfg.N, ledger.horizon))
+
+
+def series_envelope(ledger: PartialProductLedger, N: int) -> float:
+    """sup_{m<=N} sum_{m<k<=N+1} |p(m, 1)| / |p(k, 1)|, by a reverse
+    log-sum-exp of the reciprocal products.
+
+    The series shadow's error at m is |p(m, 1)| times a tail of
+    r_j / p(j+1, 1), so this envelope times epsilon bounds its sup_error
+    for every admissible perturbation. The verdict's 1 / (K^{1-delta} - 1)
+    does not: it can lie below the envelope.
+    """
     L = ledger.logmag
     x = -L[2 : N + 2]
     racc = np.logaddexp.accumulate(x[::-1])[::-1]  # slot i: tail from k = i + 2

@@ -24,6 +24,7 @@ from .classify import (
     UNSTABLE,
     HorizonConfig,
     classify,
+    series_envelope,
 )
 from .errors import StabilityToolError, TailNotConvergent
 from .products import build_ledger
@@ -115,13 +116,12 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def cmd_shadow(cfg: RunConfig) -> int:
     spec = _build_spec(cfg)
-    hcfg = cfg.horizon_config()
-    verdict = classify(spec, hcfg)
+    N = cfg.horizon
+    ledger = build_ledger(spec, N)
+    verdict = classify(spec, cfg.horizon_config(), ledger=ledger)
     if verdict.status != STABLE and not cfg.force:
         sys.stderr.write(f"spec is {verdict.status}; pass --force to shadow anyway\n")
         return 1
-    N = cfg.horizon
-    ledger = build_ledger(spec, N)
     rng = np.random.default_rng(cfg.seed)
     r = _random_perturbations(rng, cfg.epsilon, N)
     orbit = dynamics.perturbed_orbit(spec, cfg.z1, r, cfg.epsilon)
@@ -138,7 +138,8 @@ def cmd_shadow(cfg: RunConfig) -> int:
             result = dynamics.shadow_contracting(orbit, spec)
     else:
         result = dynamics.shadow_contracting(orbit, spec)
-    bound = None if verdict.constant is None else verdict.constant * cfg.epsilon
+    constant = series_envelope(ledger, N) if construction == "reciprocal_series" else verdict.constant
+    bound = None if constant is None else constant * cfg.epsilon
     summary = {
         "command": "shadow",
         "status": verdict.status,
@@ -158,13 +159,12 @@ def cmd_shadow(cfg: RunConfig) -> int:
 
 def cmd_witness(cfg: RunConfig) -> int:
     spec = _build_spec(cfg)
-    hcfg = cfg.horizon_config()
-    verdict = classify(spec, hcfg)
+    N = cfg.horizon
+    ledger = build_ledger(spec, N)
+    verdict = classify(spec, cfg.horizon_config(), ledger=ledger)
     if verdict.status == STABLE and not cfg.force:
         sys.stderr.write("spec is Stable; pass --force to run a witness anyway\n")
         return 1
-    N = cfg.horizon
-    ledger = build_ledger(spec, N)
     if verdict.status == UNSTABLE:
         plan = witness.make_witness(spec, ledger, verdict.criterion, cfg.epsilon)
     else:

@@ -9,7 +9,7 @@ solution z of z_{n+1} = a_n z_n + b_n,
 
 Shadow constructions pick z_1 so the right-hand side stays small: equal
 initial values when the tracking sums are bounded (contracting regimes),
-or w_1 minus the reciprocal-product series when the products expand.
+or w_1 plus the reciprocal-product series when the products expand.
 Error curves are evaluated through the identity rather than by
 subtracting materialized orbits: on expanding sequences the subtraction
 cancels catastrophically and the rounding of z_1 alone grows like
@@ -252,7 +252,7 @@ def shadow_expanding(
     ledger: PartialProductLedger,
     tail_tol: float = 1e-9,
 ) -> ShadowResult:
-    """Shadow via z_1 = w_1 - sum_{j=1}^{N-1} r_j / p(j+1, 1) (truncated series).
+    """Shadow via z_1 = w_1 + sum_{j=1}^{N-1} r_j / p(j+1, 1) (truncated series).
 
     Requires the reciprocal-product terms to be summable at this horizon:
     the tail beyond N, extrapolated geometrically at the rate given by the
@@ -279,7 +279,7 @@ def shadow_expanding(
     with np.errstate(under="ignore"):
         c = np.exp(log_mag + 1j * phase)
     series = complex(math.fsum(c.real), math.fsum(c.imag))
-    z1 = orbit.w1 - series
+    z1 = orbit.w1 + series
     traj = iterate(spec, z1, N)
 
     # Reverse tails RT_n = sum_{j=n}^{N-1} c_j, in scaled form.

@@ -156,18 +156,21 @@ def tracking_sum(ledger: PartialProductLedger, n: int) -> float:
     return math.fsum(terms)
 
 
-def tracking_sum_max(ledger: PartialProductLedger, upto: int) -> tuple[int, float]:
+def tracking_sum_max(ledger: PartialProductLedger, upto: int, *, log: bool = False) -> tuple[int, float]:
     """(argmax, max) of tracking_sum over n = 1..upto, in O(upto).
 
     Streamed as log T_n = L_{n+1} + log sum_{j<=n} exp(-L_{j+1}) with a
-    running log-sum-exp, so the scan never leaves log space. Ties resolve
-    to the smallest n.
+    running log-sum-exp, so the scan never leaves log space. With log set
+    the max is returned as its log, which stays finite where the linear
+    value overflows to inf. Ties resolve to the smallest n.
     """
     _check_index(ledger, upto, 1, ledger.horizon, "upto")
     L = ledger.logmag
     running = np.logaddexp.accumulate(-L[2 : upto + 2])
     log_t = L[2 : upto + 2] + running
     i = int(np.argmax(log_t))
+    if log:
+        return i + 1, float(log_t[i])
     with np.errstate(over="ignore"):
         return i + 1, float(np.exp(log_t[i]))
 
@@ -232,18 +235,22 @@ def scaled_cumsum(log_mag: np.ndarray, phase: np.ndarray, block: int = 256):
     mant = np.empty(m + 1, dtype=complex)
     scale[0] = 0.0
     mant[0] = 0.0j
-    carry_scale = 0.0
+    # The scale starts at the first nonzero block's maximum: from any fixed
+    # start, a block whose terms all lie below e^-745 would sum to zero.
+    carry_scale = -math.inf
     carry = 0.0 + 0.0j
     for start in range(0, m, block):
         end = min(start + block, m)
         lm = log_mag[start:end]
         block_max = float(np.max(lm)) if end > start else -math.inf
         sigma = max(carry_scale, block_max)
-        if not math.isfinite(sigma):
-            sigma = carry_scale  # all-zero terms keep the previous scale
+        if not math.isfinite(sigma):  # only zero terms so far
+            scale[start + 1 : end + 1] = 0.0
+            mant[start + 1 : end + 1] = 0.0j
+            continue
         with np.errstate(under="ignore"):
             terms = np.exp((lm - sigma) + 1j * phase[start:end])
-            prefixes = carry * math.exp(min(carry_scale - sigma, 0.0)) + np.cumsum(terms)
+            prefixes = carry * math.exp(carry_scale - sigma) + np.cumsum(terms)
         scale[start + 1 : end + 1] = sigma
         mant[start + 1 : end + 1] = prefixes
         carry_scale = sigma

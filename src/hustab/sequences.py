@@ -117,7 +117,11 @@ def coeff_full(spec: CoefficientSpec, n: int) -> tuple[complex, complex, float, 
         raise ValueError(f"unknown spec kind {spec.kind!r}")
     if a == 0:
         raise ZeroCoefficient(f"a_{n} = 0")
-    return complex(a), complex(b), math.log(abs(a)), cmath.phase(a)
+    try:
+        angle = cmath.phase(a)
+    except OverflowError:  # cmath.phase refuses a subnormal result; atan2 returns it
+        angle = math.atan2(a.imag, a.real)
+    return complex(a), complex(b), math.log(abs(a)), angle
 
 
 def validate(spec: CoefficientSpec) -> CoefficientSpec:

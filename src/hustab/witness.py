@@ -1,4 +1,4 @@
-"""Adversarial perturbations witnessing instability, and the brute-force
+"""Adversarial perturbations witnessing instability, and the exact
 best-shadow oracle used as ground truth.
 
 The witness plans realize the instability constructions: a constant
@@ -198,87 +198,248 @@ def realize_plan(plan: PerturbationPlan, ledger: PartialProductLedger, N: int) -
     return _clip_budget(r, eps)
 
 
-def _argmin_lex(grid: np.ndarray, vals: np.ndarray) -> int:
-    """Index of the minimum value; ties resolve to smallest (Re d, Im d)."""
-    m = np.min(vals)
-    idx = np.flatnonzero(vals == m)
-    if len(idx) == 1:
-        return int(idx[0])
-    sub = grid[idx]
-    order = np.lexsort((sub.imag, sub.real))
-    return int(idx[order[0]])
+# A center x_n (see _Objective) with log|x_n| above this bound is kept out of
+# the exact solve as the floor e^{log_w} |x_n|. The heaviest constraint reads
+# |y|, so the optimum has |y| <= its value v, and a floor varies by a relative
+# v e^{-700} at most over the points that compete. The bound leaves headroom
+# for differences of representable centers.
+_LOG_CENTER_MAX = 700.0
+# Slack on a log value v, as a multiple of 1 + |v|, within which two values
+# count as equal: one ulp of v is about 1e-16 (1 + |v|).
+_LOG_TOL = 1e-12
+# Safety cap on active-set iterations; two to five suffice in practice.
+_MAX_ITERATIONS = 64
+
+
+def _exceeds(v: float, ref: float) -> bool:
+    """Whether log value v lies above ref by more than rounding."""
+    if not math.isfinite(ref):
+        return v > ref
+    return v > ref + _LOG_TOL * (1.0 + abs(ref))
+
+
+def _log_abs(z: complex) -> float:
+    m = abs(z)
+    return math.log(m) if m > 0.0 else -math.inf
 
 
 class _Objective:
-    """log of max_{2<=n<=N} |p(n, 1) d + R_{n-1}|, evaluated on d-batches.
+    """The constraints w_n |d - c_n|, n = 2..N, of the best-shadow min-max.
 
-    Stored as R_{n-1} = p(n, 1) S_{n-1} with the prefix series S in scaled
-    form, so the evaluation never forms an out-of-range linear value:
-    log F = max_n [ L_n + sigma_{n-1} + log |d e^{-sigma_{n-1}} + s_{n-1}| ].
+    |p(n, 1) d + R_{n-1}| = w_n |d - c_n| with w_n = |p(n, 1)| = e^{L_n}
+    and c_n = -S_{n-1}, S the prefix series of t_j = r_j / p(j+1, 1).
+
+    Everything is measured from the heaviest constraint m = argmax L_n, in
+    the unknown y = w_m (d - c_m): constraint n reads
+    e^{log_w} |y - x_n| with log_w = L_n - L_m <= 0 and x_n = w_m (c_n - c_m),
+    which is the scaled log form L_n + sigma + log|d e^{-sigma} + s| with the
+    scale folded into a representable x_n, so e^{-sigma} is never formed.
+    The x_n are sums of u_j = w_m t_j accumulated outward from m (reverse
+    tails below m, forward sums above). A center's rounding then costs
+    w_n ulp times terms no larger than those next to n, so the tails that
+    expanding products magnify keep their digits, and |u_j| >= |r_j| keeps
+    the scaled sums clear of underflow. Constraints whose x_n is not
+    representable are floors; log_floor is the largest of their values.
     """
 
     def __init__(self, ledger: PartialProductLedger, r: np.ndarray, N: int):
-        log_mag, phase = _series_term_logs(ledger, r, N)
-        scale, mant = scaled_cumsum(log_mag, phase)
-        self.Ln = np.asarray(ledger.logmag[2 : N + 1])  # n = 2..N
-        self.sigma = scale[1:N]
-        self.mant = mant[1:N]
-        with np.errstate(under="ignore"):
-            self.shrink = np.exp(-self.sigma)  # sigma >= 0 by construction
+        log_t, phase = _series_term_logs(ledger, r, N)  # slot j - 1 holds t_j
+        L = np.asarray(ledger.logmag[2 : N + 1])  # n = 2..N
+        m = int(np.argmax(L)) + 2
+        self.log_wm = float(L[m - 2])
+        log_u = log_t + self.log_wm
+        f_scale, f_mant = scaled_cumsum(log_u[m - 1 :], phase[m - 1 :])  # slot k: u_m..u_{m+k-1}
+        b_scale, b_mant = scaled_cumsum(log_u[m - 2 :: -1], phase[m - 2 :: -1])  # slot k: u_{m-1}..u_{m-k}
+        scale = np.concatenate([b_scale[m - 2 : 0 : -1], f_scale])
+        mant = np.concatenate([b_mant[m - 2 : 0 : -1], -f_mant])
+        log_w = L - self.log_wm
         with np.errstate(divide="ignore"):
-            self.log_r_max = float(np.max(self.Ln + self.sigma + np.log(np.abs(self.mant))))
-        # S_{N-1} in linear scale where representable (series seed)
-        tail_log = scale[N - 1] + math.log(abs(mant[N - 1])) if abs(mant[N - 1]) > 0 else -math.inf
-        self.series_seed = (
-            -(math.exp(scale[N - 1]) * mant[N - 1]) if tail_log < 300.0 else None
-        )
+            log_x = scale + np.log(np.abs(mant))
+        floor = log_x > _LOG_CENTER_MAX
+        self.log_floor = float(np.max(log_w[floor] + log_x[floor])) if np.any(floor) else -math.inf
+        self.log_w = log_w[~floor]
+        self.x = _linear(scale[~floor], mant[~floor])
+        # c_m = -S_{m-1} = -(u_1 + ... + u_{m-1}) / w_m
+        self.c_m = complex(_linear(b_scale[m - 1 : m] - self.log_wm, -b_mant[m - 1 : m])[0])
 
-    def log_value(self, d: np.ndarray) -> np.ndarray:
-        out = np.empty(len(d))
-        chunk = max(1, int(2_000_000 // max(1, len(self.Ln))))
-        for s in range(0, len(d), chunk):
-            block = d[s : s + chunk, None]
-            with np.errstate(divide="ignore", under="ignore"):
-                logs = self.Ln[None, :] + self.sigma[None, :] + np.log(
-                    np.abs(block * self.shrink[None, :] + self.mant[None, :])
-                )
-            out[s : s + chunk] = np.max(logs, axis=1)
-        return out
+    def log_values(self, y: complex) -> np.ndarray:
+        """log of every representable constraint at y."""
+        with np.errstate(divide="ignore"):
+            return self.log_w + np.log(np.abs(y - self.x))
+
+    def log_value_at(self, y: complex, i: int) -> float:
+        return float(self.log_w[i]) + _log_abs(y - complex(self.x[i]))
+
+    def d_at(self, y: complex) -> complex:
+        """d = c_m + y / w_m; overflows only when the optimal start itself does."""
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            return self.c_m + complex(y * np.exp(-self.log_wm))
 
 
-def _refine(obj: _Objective, center: complex, half: float, max_rounds: int = 80):
-    """Shrinking 17x17 grid search around a start point.
+def _linear(scale: np.ndarray, mant: np.ndarray) -> np.ndarray:
+    """mant e^scale, through the log of the modulus where e^scale alone
+    would leave float range."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        direct = mant * np.exp(scale)
+        unit = np.where(mant != 0, mant / np.abs(mant), 0.0)
+        via_log = np.exp(scale + np.log(np.abs(mant))) * unit
+    return np.where(np.abs(scale) <= _LOG_CENTER_MAX, direct, via_log)
 
-    The objective is a max of moduli of affine functions of d, hence
-    convex; the window walks while the best point sits on its boundary
-    and shrinks otherwise, until the window is negligible or the value
-    stalls.
+
+def _pair_point(obj: _Objective, i: int, j: int) -> complex:
+    """The point on [x_i, x_j] where the two weighted distances are equal.
+
+    Stepped from the heavier center by t = w_light / (w_i + w_j) <= 1/2,
+    which underflows cleanly to the heavy center when the weights are
+    e^{745} apart.
     """
-    xs = np.linspace(-1.0, 1.0, 17)
-    offsets = (xs[:, None] + 1j * xs[None, :]).ravel()
-    best_d = center
-    best_v = float(obj.log_value(np.array([center]))[0])
-    stall = 0
-    for _ in range(max_rounds):
-        if half <= 0.0 or not math.isfinite(half):
+    if obj.log_w[i] < obj.log_w[j]:
+        i, j = j, i
+    e = math.exp(float(obj.log_w[j] - obj.log_w[i]))
+    ci = complex(obj.x[i])
+    return ci + (e / (1.0 + e)) * (complex(obj.x[j]) - ci)
+
+
+def _triple_points(obj: _Objective, idx: tuple[int, int, int]) -> list[complex]:
+    """The up to two points where three weighted distances are equal.
+
+    With the heaviest center moved to 0, coordinates scaled by the spread
+    and q_k = (w_k / w_max)^2, each pair condition reads
+    A_k |x|^2 + 2 Re(x conj B_k) + C_k = 0 with A_k = 1 - q_k, B_k = q_k x_k,
+    C_k = -q_k |x_k|^2: an Apollonius circle, or the bisector line when the
+    weights are equal. Two lines meet in their solution; otherwise a
+    combination cancelling |x|^2 gives the radical line, which meets the
+    circle of larger |A| at the roots of a quadratic, taken in the stable
+    form so a nearly flat circle still yields its near root.
+    """
+    order = sorted(idx, key=lambda k: -float(obj.log_w[k]))
+    top = float(obj.log_w[order[0]])
+    origin = complex(obj.x[order[0]])
+    rel = [complex(obj.x[k]) - origin for k in order[1:]]
+    spread = max(abs(x) for x in rel)
+    if not 0.0 < spread < math.inf:
+        return []
+    x = [z / spread for z in rel]
+    q = [math.exp(2.0 * (float(obj.log_w[k]) - top)) for k in order[1:]]
+    A = [1.0 - qk for qk in q]
+    B = [qk * xk for qk, xk in zip(q, x)]
+    C = [-qk * abs(xk) ** 2 for qk, xk in zip(q, x)]
+    big = 0 if abs(A[0]) >= abs(A[1]) else 1
+    small = 1 - big
+    if A[big] == 0.0:
+        det = B[0].real * B[1].imag - B[0].imag * B[1].real
+        if det == 0.0:
+            return []
+        px = (-C[0] * B[1].imag + C[1] * B[0].imag) / (2.0 * det)
+        py = (-C[1] * B[0].real + C[0] * B[1].real) / (2.0 * det)
+        roots_xy = [complex(px, py)]
+    else:
+        rho = A[small] / A[big]
+        G = B[small] - rho * B[big]
+        H = C[small] - rho * C[big]
+        g = abs(G)
+        if g == 0.0:
+            return []
+        p0 = (-0.5 * H / g) * (G / g)  # foot of the line Re(x conj G) = -H/2
+        u = 1j * G / g
+        a = A[big]
+        b = a * (p0 * u.conjugate()).real + (u * B[big].conjugate()).real
+        c = a * abs(p0) ** 2 + 2.0 * (p0 * B[big].conjugate()).real + C[big]
+        root = math.sqrt(max(b * b - a * c, 0.0))
+        qq = -(b + math.copysign(root, b))
+        ts = [c / qq] if qq != 0.0 else [0.0]
+        if qq != 0.0:
+            ts.append(qq / a)
+        roots_xy = [p0 + t * u for t in ts]
+    out = []
+    for z in roots_xy:
+        d = origin + spread * z
+        if math.isfinite(d.real) and math.isfinite(d.imag):
+            out.append(d)
+    return out
+
+
+def _certifies(obj: _Objective, y: complex, support: list[int], v: float) -> bool:
+    """Whether y, with max v over the enlarged set, is its weighted 1-center.
+
+    The problem is convex, so y is optimal exactly when no other member
+    exceeds the support's common value and 0 lies in the convex hull of the
+    support's gradient directions y - x_i: automatic for a pair point,
+    an angular gap of at most pi for a triple, and a single center only
+    when every member coincides with it.
+    """
+    if _exceeds(v, max(obj.log_value_at(y, i) for i in support)):
+        return False
+    if len(support) == 1:
+        return v == -math.inf
+    if len(support) == 2:
+        return True
+    dirs = [y - complex(obj.x[i]) for i in support]
+    if any(z == 0 for z in dirs):
+        return False
+    ang = sorted(math.atan2(z.imag, z.real) for z in dirs)
+    gaps = [ang[1] - ang[0], ang[2] - ang[1], 2.0 * math.pi + ang[0] - ang[2]]
+    return max(gaps) <= math.pi + 1e-9
+
+
+def _small_center(obj: _Objective, basis: list[int], k: int):
+    """Exact weighted 1-center of basis + [k], with k in its support.
+
+    k violates the basis optimum, so every support of the enlarged problem
+    contains k: the candidates are x_k, the pair points of k with one basis
+    member and the triple points of k with two. The optimum is the
+    certified candidate (see _certifies) of least value, the first on ties.
+    Choosing by certificate rather than by value alone matters where a
+    nearly flat constraint makes several points tie below rounding: only
+    the optimum carries the certificate. Should rounding leave no candidate
+    certified, the one with the least max is used. Returns (y, log value,
+    support).
+    """
+    members = basis + [k]
+    cands = [(complex(obj.x[k]), [k])]
+    cands += [(_pair_point(obj, k, b), [k, b]) for b in basis]
+    for i, b1 in enumerate(basis):
+        for b2 in basis[i + 1 :]:
+            cands += [(y, [k, b1, b2]) for y in _triple_points(obj, (k, b1, b2))]
+    best = fallback = None
+    for y, support in cands:
+        v = max(obj.log_value_at(y, i) for i in members)
+        if fallback is None or v < fallback[1]:
+            fallback = (y, v, support)
+        if (best is None or v < best[1]) and _certifies(obj, y, support, v):
+            best = (y, v, support)
+    return best or fallback
+
+
+def _one_center(obj: _Objective) -> tuple[complex, float]:
+    """(y, log max) at the weighted 1-center of the representable constraints.
+
+    Active-set iteration (Elzinga & Hearn 1972, weighted as in Hearn &
+    Vijay 1982), started from y = 0: solve the basis of at most three
+    constraints exactly, add the worst violator of the full set, and repeat
+    until no constraint exceeds the basis value beyond rounding. The basis
+    value is a lower bound on the optimum and the returned log max an
+    attained upper bound; at exit they agree, which certifies optimality.
+    Where rounding flattens a constraint, the basis value can stop rising;
+    the latest point whose max is within rounding of the smallest max seen
+    is kept.
+    """
+    y, log_v, basis = 0.0 + 0.0j, -math.inf, []
+    vals = obj.log_values(y)
+    best_y, best_max = y, float(np.max(vals))
+    lowest = best_max
+    for _ in range(_MAX_ITERATIONS):
+        k = int(np.argmax(vals))
+        if not _exceeds(vals[k], log_v):
             break
-        grid = center + offsets * half
-        vals = obj.log_value(grid)
-        i = _argmin_lex(grid, vals)
-        cand, cv = complex(grid[i]), float(vals[i])
-        if cv < best_v:
-            improved = best_v - cv > 1e-7
-            best_d, best_v = cand, cv
-            stall = 0 if improved else stall + 1
-        else:
-            stall += 1
-        on_edge = max(abs(cand.real - center.real), abs(cand.imag - center.imag)) >= half * 0.93
-        center = cand
-        if not on_edge:
-            half *= 0.35
-        if stall >= 4 or half < 1e-9 * (abs(center) + 1e-300):
-            break
-    return best_d, best_v
+        y, v, basis = _small_center(obj, basis, k)
+        log_v = max(log_v, v)
+        vals = obj.log_values(y)
+        top = float(np.max(vals))
+        lowest = min(lowest, top)
+        if not _exceeds(top, lowest):
+            best_y, best_max = y, top
+    return best_y, best_max
 
 
 def best_shadow_oracle(
@@ -290,47 +451,26 @@ def best_shadow_oracle(
     """Minimize over z_1 the worst tracking error of any exact solution.
 
     Exact shadow optimality over all solution sequences: z is determined
-    by z_1, and the error at index n is p(n, 1)(w_1 - z_1) + R_{n-1}, so
-    the problem is a min-max of moduli of affine functions of the single
-    complex unknown d = w_1 - z_1. Coarse grid over a disc of radius
-    2 max_n |R_{n-1}| / max(1, min_n |p(n, 1)|), then local refinement;
-    the refinement is additionally started from d = 0 and from the
-    truncated reciprocal series, whose basin the coarse cells cannot
-    resolve when the products expand. Deterministic; grid ties resolve to
-    the smallest (Re d, Im d).
+    by z_1, and the error at index n is p(n, 1)(w_1 - z_1) + R_{n-1}, of
+    modulus w_n |d - c_n| with w_n = |p(n, 1)| and c_n = -S_{n-1}. The
+    problem is the weighted Euclidean 1-center of the points c_n in the
+    complex unknown d = w_1 - z_1, solved exactly by an active-set method
+    in log form. A constraint whose center lies outside float range is a
+    d-independent floor w_n |c_n| (to a relative e^{-600}); when a floor
+    sets the value the optimal d is not unique, and d is then the 1-center
+    of the remaining constraints. Deterministic.
     """
     if N < 2 or N > len(orbit):
         raise IndexOutOfRange(f"need 2 <= N <= orbit length, got N={N}")
     if ledger.horizon + 1 < N:
         raise IndexOutOfRange(f"ledger horizon {ledger.horizon} too small for N={N}")
     obj = _Objective(ledger, orbit.perturbations, N)
-    if obj.log_r_max == -math.inf:
-        return OracleResult(z1=orbit.w1, d=0.0 + 0.0j, value=0.0, log10_value=-math.inf)
-
-    log_min_p = float(np.min(ledger.logmag[1 : N + 1]))
-    log_radius = math.log(2.0) + obj.log_r_max - max(0.0, log_min_p)
-    radius = math.exp(min(log_radius, 690.0))
-
-    xs = np.linspace(-radius, radius, 64)
-    coarse = (xs[:, None] + 1j * xs[None, :]).ravel()
-    cvals = obj.log_value(coarse)
-    i = _argmin_lex(coarse, cvals)
-    cell = 2.0 * radius / 63.0
-
-    starts = [(complex(coarse[i]), cell)]
-    starts.append((0.0 + 0.0j, max(cell / 64.0, 1e-12 * radius)))
-    if obj.series_seed is not None:
-        d0 = obj.series_seed
-        starts.append((d0, max(abs(d0) * 0.5, cell / 64.0, 1e-300)))
-
-    best_d, best_v = complex(coarse[i]), float(cvals[i])
-    for c0, h0 in starts:
-        d, v = _refine(obj, c0, h0)
-        if v < best_v or (v == best_v and (d.real, d.imag) < (best_d.real, best_d.imag)):
-            best_d, best_v = d, v
+    y, log_v = _one_center(obj)
+    log_v = max(log_v, obj.log_floor)
+    d = obj.d_at(y)
     with np.errstate(over="ignore"):
-        value = float(np.exp(best_v))
-    return OracleResult(z1=orbit.w1 - best_d, d=best_d, value=value, log10_value=best_v / _LN10)
+        value = float(np.exp(log_v))
+    return OracleResult(z1=orbit.w1 - d, d=d, value=value, log10_value=log_v / _LN10)
 
 
 def default_prefixes(N: int) -> list[int]:

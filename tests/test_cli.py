@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import hustab as hs
 from hustab.cli import main
@@ -54,6 +55,25 @@ def test_classify_undetermined_exit_code(tmp_path, capsys):
     assert json.loads(out)["status"] == "Undetermined"
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_classify_stdout_is_strict_json_past_overflow(tmp_path, capsys):
+    # an |a| = 3 tail drives L_n to ~2200, far past exp's range at ~709
+    spec = hs.table_spec([(0.5, 1.0)] * 10 + [(3.0, 5.0)], tail="repeat")
+    path = tmp_path / "tail3.json"
+    path.write_text(json.dumps(hs.spec_to_json(spec)))
+    code, out, _ = run(capsys, "classify", "--spec", str(path), "--horizon", "2000")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    est = doc["estimates"]
+    assert "sup_tracking_sum" not in est
+    # T_n = sum_k |a_n ... a_{n-k+1}| >= |p(n+1, 11)| = |p(n+1, 1)| 2^10
+    assert est["log_sup_tracking_sum"] >= est["log_sup_abs_p"] + 10 * np.log(2.0)
+    assert est["log_sup_tracking_sum"] > 709.0
+
+
 def test_classify_invalid_spec_is_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"kind": "periodic", "period": [[0, 0, 1, 0]]}))
@@ -95,6 +115,27 @@ def test_shadow_expanding_construction(capsys):
     assert doc["construction"] == "reciprocal_series"
     assert doc["bound_satisfied"] is True
     assert doc["tail_estimate"] < 1e-50
+
+
+def test_shadow_expanding_bound_is_series_envelope(tmp_path, capsys):
+    # The verdict's 1/(K^(1-delta) - 1) lies below what the series shadow
+    # attains on both specs; the bound is the envelope sup_m sum_k |p(m,1)/p(k,1)|.
+    table = tmp_path / "table.json"
+    table.write_text(json.dumps({"kind": "table", "table": [[0.5, 0, 1, 0]] * 60 + [[3, 0, 1, 0]],
+                                 "tail": "repeat"}))
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text(json.dumps({"kind": "periodic", "period": [[0.5, 0, 1, 0], [8, 0, 1, 0]]}))
+    for path, envelope in ((table, 2.0**61 + 2.0**59 - 2.0), (cycle, 3.0)):
+        _, verdict, _ = run(capsys, "classify", "--spec", str(path), "--horizon", "2000")
+        assert json.loads(verdict)["constant"] < envelope
+        for seed in range(3):
+            code, out, _ = run(capsys, "shadow", "--spec", str(path), "--horizon", "2000",
+                               "--epsilon", "0.01", "--seed", str(seed), "--out", str(tmp_path / "z.csv"))
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["construction"] == "reciprocal_series"
+            assert doc["bound"] == pytest.approx(0.01 * envelope, rel=1e-9)
+            assert doc["bound_satisfied"] is True
 
 
 def test_shadow_refuses_unstable_without_force(capsys):

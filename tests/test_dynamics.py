@@ -183,6 +183,22 @@ def test_shadow_expanding_constant2_bound():
     assert res.errors[N] == 0.0
 
 
+def test_shadow_expanding_trajectory_matches_errors():
+    # the returned orbit is the shadow the error curve describes: at a
+    # horizon where w and z stay in range, subtracting them reproduces it
+    eps = 0.01
+    N = 40
+    spec = hs.builtin_example("constant", a=2, b=5)
+    led = hs.build_ledger(spec, N)
+    r = padded(eps * random_disc(np.random.default_rng(0), N - 1))
+    orbit = hs.perturbed_orbit(spec, 0.0, r, eps)
+    res = hs.shadow_expanding(orbit, spec, led)
+    w = orbit.values[1:]
+    got = np.abs(w - res.trajectory.values[1:])
+    assert np.all(np.abs(got - res.errors[1:]) <= 1e-9 * (1.0 + np.abs(w)))
+    assert res.sup_error <= eps
+
+
 def test_shadow_expanding_zero_perturbation():
     spec = hs.builtin_example("constant", a=3, b=1)
     led = hs.build_ledger(spec, 100)
@@ -202,6 +218,19 @@ def test_shadow_expanding_all_threes_half_eps():
     res = hs.shadow_expanding(orbit, spec, led)
     assert res.sup_error <= 0.5 * eps * (1 + 1e-9)
     assert res.sup_error == pytest.approx(0.5 * eps, rel=1e-3)
+
+
+def test_shadow_expanding_phase_aligned_sparse3_periodic():
+    # r_j aligned with p(j+1, 1) makes every series term add in phase, so the
+    # error attains the envelope: 3.5 eps for a = (1, 1, 3) repeating. The
+    # reversed tails start below e^-745 and must not come out as zero.
+    N = 3000
+    spec = hs.builtin_example("sparse3_periodic", p=3)
+    led = hs.build_ledger(spec, N)
+    r = padded(np.exp(1j * led.phase[2 : N + 1]))
+    res = hs.shadow_expanding(hs.perturbed_orbit(spec, 0.0, r, 1.0), spec, led)
+    assert res.sup_error == pytest.approx(3.5, rel=1e-12)
+    assert np.count_nonzero(res.errors[1:N] == 0.0) == 0
 
 
 def test_shadow_expanding_rejects_contracting_tail():

@@ -253,6 +253,16 @@ def test_scaled_cumsum_far_outside_float_range():
     assert log_prefix == pytest.approx(expect, abs=1e-9)
 
 
+def test_scaled_cumsum_below_underflow():
+    # terms e^{-2000 + j}: the first blocks lie wholly below e^-745 and
+    # must not sum to zero
+    j = np.arange(1000, dtype=float)
+    scale, mant = scaled_cumsum(j - 2000.0, np.zeros(1000))
+    log_prefix = scale[1:] + np.log(np.abs(mant[1:]))
+    expect = (j - 2000.0) + np.log((1.0 - np.exp(-(j + 1.0))) / (1.0 - math.exp(-1.0)))
+    assert np.max(np.abs(log_prefix - expect)) <= 1e-9
+
+
 def test_ledger_csv_shape():
     led = hs.build_ledger(hs.builtin_example("constant", a=2, b=1), 5)
     text = led.to_csv()

@@ -169,3 +169,11 @@ def test_json_round_trip_table():
     assert back.tail == "repeat"
     for n in (1, 2, 3, 50):
         assert hs.coeff_at(back, n) == hs.coeff_at(spec, n)
+
+
+def test_coeff_full_subnormal_phase():
+    # cmath.phase raises OverflowError when the angle itself is subnormal
+    spec = hs.periodic_spec([(complex(2.0, 5e-324), 0j)])
+    _, _, log_mag, angle = coeff_full(spec, 1)
+    assert log_mag == math.log(2.0)
+    assert 0.0 <= angle <= 5e-324

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hustab as hs
 from conftest import brute_residuals, coeffs_upto, padded, random_disc
@@ -215,3 +217,133 @@ def test_plan_json_round_trip_fields():
     assert doc["epsilon"] == 2.0
     assert doc["C"] == 1.0
     assert doc["M"] == pytest.approx(3.0**31, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Best-shadow oracle against naive direct recursion. The naive objective
+# max_n |p(n, 1) d + R_{n-1}| is formed in linear scale from repeated
+# multiplication, so the cases keep |p(n, 1)| moderate.
+
+def naive_constraints(spec, r, N):
+    """p(n, 1) and R_{n-1} for n = 2..N, by repeated multiplication and
+    direct recursion."""
+    a, _ = coeffs_upto(spec, N)
+    R = brute_residuals(a, r, N - 1)
+    p = np.cumprod(a[1:N])  # slot n - 2 holds p(n, 1)
+    return p, R[1:N]
+
+
+def naive_objective(p, R, d):
+    return float(np.max(np.abs(p * d + R)))
+
+
+@st.composite
+def oracle_cases(draw):
+    """(spec, N, r): unimodular cycles, near_parabolic and small tables,
+    under random or phase-aligned perturbations."""
+    kind = draw(st.sampled_from(["cycle", "near_parabolic", "table"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "cycle":
+        k = draw(st.integers(1, 5))
+        logs = rng.uniform(-1.0, 1.0, k)
+        a = np.exp(logs - logs.mean() + 2j * np.pi * rng.uniform(0, 1, k))
+        spec = hs.periodic_spec([(x, 1.0) for x in a])
+        N = draw(st.integers(2, 400))
+    elif kind == "near_parabolic":
+        spec = hs.builtin_example("near_parabolic", alpha=draw(st.floats(0.0, 1.0)))
+        N = draw(st.integers(2, 400))
+    else:
+        k = draw(st.integers(2, 12))
+        a = np.exp(rng.uniform(np.log(0.5), np.log(2.0), k) + 2j * np.pi * rng.uniform(0, 1, k))
+        spec = hs.table_spec([(x, 0.0) for x in a], tail="error")
+        N = draw(st.integers(2, k))
+    eps = draw(st.floats(0.01, 1.0))
+    led = hs.build_ledger(spec, N)
+    if draw(st.booleans()):
+        r = hs.realize_plan(hs.PerturbationPlan(variant="phase_aligned", epsilon=eps), led, N)
+    else:
+        r = padded(eps * random_disc(rng, N - 1))
+    return spec, led, N, r, eps, rng
+
+
+def assert_certified(p, R, res, tol):
+    """The oracle's value is attained at its d, and 0 lies in the convex hull
+    of the unit gradients of the constraints within 1e-9 of the max."""
+    err = p * res.d + R
+    f = np.abs(err)
+    assert res.value == pytest.approx(float(np.max(f)), rel=1e-9, abs=tol)
+    if res.value == 0.0:
+        return
+    active = f >= np.max(f) * (1.0 - 1e-9)
+    # the gradient of |p d + R| in d points along conj(p) (p d + R)
+    ang = np.sort(np.angle(err[active] * np.conj(p[active])))
+    gaps = np.diff(np.concatenate([ang, [ang[0] + 2.0 * np.pi]]))
+    # 0 lies in the convex hull of unit vectors iff no open half-plane holds them all
+    assert np.max(gaps) <= np.pi + 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=oracle_cases())
+def test_oracle_certificate_zero_in_hull_of_active_gradients(case):
+    spec, led, N, r, eps, _ = case
+    orbit = hs.perturbed_orbit(spec, 0.3 - 0.1j, r, eps)
+    res = hs.best_shadow_oracle(orbit, spec, led, N)
+    p, R = naive_constraints(spec, r, N)
+    assert_certified(p, R, res, 1e-14 * eps)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=oracle_cases())
+def test_oracle_beats_naive_objective_at_other_starts(case):
+    spec, led, N, r, eps, rng = case
+    orbit = hs.perturbed_orbit(spec, 1.0 + 0.5j, r, eps)
+    res = hs.best_shadow_oracle(orbit, spec, led, N)
+    p, R = naive_constraints(spec, r, N)
+    starts = [0.0j, -R[-1] / p[-1]]  # equal start, and the reciprocal series S_{N-1}
+    for scale in (1e-6, 1e-3, 1e-1):
+        starts += list(res.d + scale * (1.0 + abs(res.d)) * random_disc(rng, 4))
+    for d in starts:
+        assert res.value <= naive_objective(p, R, d) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("name, N, variant", [
+    ("alternating_2_half", 3000, "phase_aligned"),
+    ("sparse3_squares", 4000, "scaled_product"),
+])
+def test_oracle_certified_on_builtin_witnesses(name, N, variant):
+    spec = hs.builtin_example(name)
+    led = hs.build_ledger(spec, N)
+    plan = hs.make_witness(spec, led, "geomean_subexponential", 0.5, variant=variant)
+    r = hs.realize_plan(plan, led, N)
+    orbit = hs.perturbed_orbit(spec, 0.0, r, 0.5)
+    res = hs.best_shadow_oracle(orbit, spec, led, N)
+    p, R = naive_constraints(spec, r, N)
+    assert_certified(p, R, res, 0.0)
+    for d in (0.0, -R[-1] / p[-1], res.d + 1e-4 * (1 + abs(res.d)), res.d - 1e-4j * (1 + abs(res.d))):
+        assert res.value <= naive_objective(p, R, d) * (1.0 + 1e-9)
+
+
+def test_oracle_sparse3_squares_regression():
+    # the grid oracle reported 124.44 here; 280/3 is attained and certified
+    N = 16000
+    spec = hs.builtin_example("sparse3_squares")
+    led = hs.build_ledger(spec, N)
+    plan = hs.make_witness(spec, led, "geomean_subexponential", 1.0, variant="scaled_product")
+    orbit = hs.perturbed_orbit(spec, 0.0, hs.realize_plan(plan, led, N), 1.0)
+    res = hs.best_shadow_oracle(orbit, spec, led, N)
+    assert res.value == pytest.approx(280.0 / 3.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("a, N, factor", [(2.0, 2000, 1.0), (0.5, 4000, 2.0)])
+def test_oracle_log_domain_phase_aligned(a, N, factor):
+    # L_N is about +1386 for a = 2 and -2773 for a = 0.5, both far outside
+    # exp's range; the phase-aligned optimum is eps and 2 eps exactly
+    eps = 0.01
+    spec = hs.builtin_example("constant", a=a, b=5)
+    led = hs.build_ledger(spec, N)
+    assert abs(led.logmag[N]) > 1000
+    r = hs.realize_plan(hs.PerturbationPlan(variant="phase_aligned", epsilon=eps), led, N)
+    orbit = hs.perturbed_orbit(spec, 0.2 + 0.4j, r, eps)
+    res = hs.best_shadow_oracle(orbit, spec, led, N)
+    assert res.value == pytest.approx(factor * eps, rel=1e-12)
+    assert res.log10_value == pytest.approx(math.log10(factor * eps), rel=1e-12)
