@@ -44,6 +44,7 @@ from .sequences import (
     BUILTIN_NAMES,
     CoefficientSpec,
     builtin_example,
+    coeff_arrays,
     coeff_at,
     constant_spec,
     periodic_spec,

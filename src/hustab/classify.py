@@ -21,7 +21,7 @@ from .products import (
     build_ledger,
     tracking_sum_max,
 )
-from .sequences import CoefficientSpec
+from .sequences import CoefficientSpec, coeff_arrays
 
 STABLE = "Stable"
 UNSTABLE = "Unstable"
@@ -146,15 +146,12 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
     the tail bound 1 / (K^{1-delta} - 1) at K = |q|^{1/p}.
     """
     cfg = cfg or HorizonConfig()
-    if spec.kind == "constant":
-        pairs = (spec.constant,)
-    elif spec.kind == "periodic":
-        pairs = spec.period
-    else:
+    if spec.kind not in ("constant", "periodic"):
         raise NotPeriodic(f"exact cycle classification needs constant or periodic, got {spec.kind}")
-    p = len(pairs)
-    mags = [abs(a) for a, _ in pairs]
-    log_q = math.fsum(math.log(m) for m in mags)
+    p = spec.period_length
+    a, _, log_mag, _ = coeff_arrays(spec, np.arange(1, p + 1))
+    mags = [abs(x) for x in a.tolist()]
+    log_q = math.fsum(log_mag.tolist())
     estimates = {
         "geomean_exponent": log_q / p,
         "log_abs_cycle_product": log_q,

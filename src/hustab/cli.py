@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,32 +29,11 @@ from .errors import StabilityToolError, TailNotConvergent
 from .products import build_ledger
 
 
-@dataclass
-class RunConfig:
-    command: str
-    builtin: str | None = None
-    spec_path: str | None = None
-    alpha: float = 0.0
-    p: int = 3
-    a: complex = 2.0 + 0.0j
-    b: complex = 5.0 + 0.0j
-    horizon: int = 10_000
-    epsilon: float = 0.01
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-    force: bool = False
-    delta: float = 0.1
-    band: float = 0.02
-    window: float = 0.5
-    z1: complex = 0.0 + 0.0j
-    tail_tol: float = 1e-9
-
-    def horizon_config(self) -> HorizonConfig:
-        return HorizonConfig(N=self.horizon, window=self.window, band=self.band, delta=self.delta)
+def _horizon_config(cfg: argparse.Namespace) -> HorizonConfig:
+    return HorizonConfig(N=cfg.horizon, window=cfg.window, band=cfg.band, delta=cfg.delta)
 
 
-def _build_spec(cfg: RunConfig) -> sequences.CoefficientSpec:
+def _build_spec(cfg: argparse.Namespace) -> sequences.CoefficientSpec:
     if (cfg.builtin is None) == (cfg.spec_path is None):
         raise ValueError("give exactly one of --builtin NAME or --spec PATH")
     if cfg.spec_path is not None:
@@ -68,14 +46,15 @@ def _dump_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(cfg: RunConfig, csv_text: str | None, summary: dict) -> None:
-    """CSV goes to --out when given; the JSON summary goes to stdout.
-    Without --out, --format picks which of the two streams to print."""
-    if cfg.out is not None and csv_text is not None:
-        Path(cfg.out).write_text(csv_text)
+def _emit(cfg: argparse.Namespace, artifact: str, summary: dict) -> None:
+    """The artifact (a CSV, or a JSON document) goes to --out when given;
+    the JSON summary goes to stdout. Without --out, --format picks which
+    of the two streams to print."""
+    if cfg.out is not None:
+        Path(cfg.out).write_text(artifact)
         sys.stdout.write(_dump_json(summary))
-    elif csv_text is not None and cfg.fmt == "csv":
-        sys.stdout.write(csv_text)
+    elif cfg.fmt == "csv":
+        sys.stdout.write(artifact)
     else:
         sys.stdout.write(_dump_json(summary))
 
@@ -90,17 +69,15 @@ def _random_perturbations(rng: np.random.Generator, epsilon: float, N: int) -> n
     return r
 
 
-def cmd_classify(cfg: RunConfig) -> int:
+def cmd_classify(cfg: argparse.Namespace) -> int:
     spec = _build_spec(cfg)
-    verdict = classify(spec, cfg.horizon_config())
-    out = _dump_json(verdict.to_json())
-    if cfg.out is not None:
-        Path(cfg.out).write_text(out)
-    sys.stdout.write(out)
+    verdict = classify(spec, _horizon_config(cfg))
+    doc = verdict.to_json()
+    _emit(cfg, _dump_json(doc), doc)  # the verdict is both artifact and summary
     return 2 if verdict.status == UNDETERMINED else 0
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: argparse.Namespace) -> int:
     spec = _build_spec(cfg)
     traj = dynamics.iterate(spec, cfg.z1, cfg.horizon)
     csv_text = dynamics.trajectory_csv(traj)
@@ -114,11 +91,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_shadow(cfg: RunConfig) -> int:
+def cmd_shadow(cfg: argparse.Namespace) -> int:
     spec = _build_spec(cfg)
     N = cfg.horizon
     ledger = build_ledger(spec, N)
-    verdict = classify(spec, cfg.horizon_config(), ledger=ledger)
+    verdict = classify(spec, _horizon_config(cfg), ledger=ledger)
     if verdict.status != STABLE and not cfg.force:
         sys.stderr.write(f"spec is {verdict.status}; pass --force to shadow anyway\n")
         return 1
@@ -157,11 +134,11 @@ def cmd_shadow(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_witness(cfg: RunConfig) -> int:
+def cmd_witness(cfg: argparse.Namespace) -> int:
     spec = _build_spec(cfg)
     N = cfg.horizon
     ledger = build_ledger(spec, N)
-    verdict = classify(spec, cfg.horizon_config(), ledger=ledger)
+    verdict = classify(spec, _horizon_config(cfg), ledger=ledger)
     if verdict.status == STABLE and not cfg.force:
         sys.stderr.write("spec is Stable; pass --force to run a witness anyway\n")
         return 1
@@ -186,7 +163,7 @@ def cmd_witness(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_examples(cfg: RunConfig) -> int:
+def cmd_examples(cfg: argparse.Namespace) -> int:
     if cfg.builtin is not None:
         spec = sequences.builtin_example(cfg.builtin, alpha=cfg.alpha, p=cfg.p, a=cfg.a, b=cfg.b)
         doc = sequences.spec_to_json(spec)
@@ -195,10 +172,7 @@ def cmd_examples(cfg: RunConfig) -> int:
         for name in sequences.BUILTIN_NAMES:
             spec = sequences.builtin_example(name, alpha=cfg.alpha, p=cfg.p, a=cfg.a, b=cfg.b)
             doc[name] = sequences.spec_to_json(spec)
-    out = _dump_json(doc)
-    if cfg.out is not None:
-        Path(cfg.out).write_text(out)
-    sys.stdout.write(out)
+    _emit(cfg, _dump_json(doc), doc)
     return 0
 
 
@@ -237,8 +211,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    cfg = RunConfig(**vars(args))
+    cfg = _parser().parse_args(argv)
     try:
         return _COMMANDS[cfg.command](cfg)
     except (StabilityToolError, ValueError, OSError, json.JSONDecodeError) as exc:

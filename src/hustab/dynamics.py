@@ -20,16 +20,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import IndexOutOfRange, TailNotConvergent
 from .products import (
     PartialProductLedger,
+    _csv_text,
     geometric_mean_exponent,
     scaled_cumsum,
 )
-from .sequences import CoefficientSpec, coeff_at
+from .sequences import CoefficientSpec, coeff_arrays
 
 _LN10 = math.log(10.0)
 _BUDGET_SLACK = 1.0 + 4e-16  # one-ulp slack for |r_n| <= epsilon checks
@@ -108,33 +110,35 @@ class ShadowResult:
     tail_estimate: float | None = None
 
 
+def _recur(x1: complex, a, b, r) -> np.ndarray:
+    """x_{n+1} = a_n x_n + b_n + r_n from x_1, index-aligned (slot 0 NaN).
+
+    The one recurrence kernel, over Python complex sequences; it runs for
+    as long as a lasts. It is sequential on purpose, because direct
+    recursion is the reference semantics of every orbit here.
+    """
+    xs = [np.nan, complex(x1)]
+    x = xs[1]
+    for an, bn, rn in zip(a, b, r):
+        x = an * x + bn + rn
+        xs.append(x)
+    return np.array(xs, dtype=complex)
+
+
 def iterate(spec: CoefficientSpec, z1: complex, N: int) -> Trajectory:
     """Direct recursion z_{n+1} = a_n z_n + b_n, materialized to length N."""
     if N < 1:
         raise IndexOutOfRange(f"orbit length must be >= 1, got {N}")
-    values = np.empty(N + 1, dtype=complex)
-    values[0] = np.nan
-    values[1] = complex(z1)
-    z = complex(z1)
-    for n in range(1, N):
-        a, b = coeff_at(spec, n)
-        z = a * z + b
-        values[n + 1] = z
-    return Trajectory(spec=spec, values=values)
+    a, b, _, _ = coeff_arrays(spec, np.arange(1, N))
+    return Trajectory(spec=spec, values=_recur(z1, a.tolist(), b.tolist(), repeat(0j)))
 
 
 def perturbed_orbit(spec: CoefficientSpec, w1: complex, r: np.ndarray, epsilon: float) -> PerturbedOrbit:
     """Materialize w from w_1 and index-aligned perturbations r_1..r_{N-1}."""
-    N = len(r)  # r has slots 0..N-1, slot 0 padding
-    values = np.empty(N + 1, dtype=complex)
-    values[0] = np.nan
-    values[1] = complex(w1)
-    w = complex(w1)
-    for n in range(1, N):
-        a, b = coeff_at(spec, n)
-        w = a * w + b + complex(r[n])
-        values[n + 1] = w
-    return PerturbedOrbit(spec=spec, values=values, perturbations=np.asarray(r, dtype=complex), epsilon=float(epsilon))
+    r = np.asarray(r, dtype=complex)  # slots 0..N-1, slot 0 padding
+    a, b, _, _ = coeff_arrays(spec, np.arange(1, len(r)))
+    values = _recur(w1, a.tolist(), b.tolist(), r[1:].tolist())
+    return PerturbedOrbit(spec=spec, values=values, perturbations=r, epsilon=float(epsilon))
 
 
 def _series_term_logs(ledger: PartialProductLedger, r: np.ndarray, N: int):
@@ -196,14 +200,8 @@ def residual_ledger(orbit: PerturbedOrbit, spec: CoefficientSpec, check: bool = 
     index where both sides are float-representable.
     """
     N = len(orbit)
-    r = orbit.perturbations
-    values = np.empty(N, dtype=complex)
-    values[0] = 0.0
-    R = 0.0 + 0.0j
-    for n in range(1, N):
-        a, _ = coeff_at(spec, n)
-        R = a * R + complex(r[n])
-        values[n] = R
+    a, _, _, _ = coeff_arrays(spec, np.arange(1, N))
+    values = _recur(0j, a.tolist(), repeat(0j), orbit.perturbations[1:].tolist())[1:]  # slot n holds R_n
     ledger = ResidualLedger(values=values)
     if check:
         exact = iterate(spec, orbit.w1, N)
@@ -341,20 +339,13 @@ def second_order_reduce(
 # CSV dumps (columns are part of the external interface)
 
 def trajectory_csv(traj: Trajectory) -> str:
-    lines = ["n,re_z,im_z"]
-    for n in range(1, len(traj) + 1):
-        z = complex(traj.values[n])
-        lines.append(f"{n},{z.real!r},{z.imag!r}")
-    return "\n".join(lines) + "\n"
+    z = traj.values[1:]
+    return _csv_text("n,re_z,im_z", np.arange(1, len(z) + 1), z.real, z.imag)
 
 
 def shadow_csv(result: ShadowResult, orbit: PerturbedOrbit) -> str:
-    lines = ["n,re_z,im_z,re_w,im_w,abs_err,log10_abs_err"]
-    for n in range(1, len(orbit) + 1):
-        z = complex(result.trajectory.values[n])
-        w = complex(orbit.values[n])
-        lines.append(
-            f"{n},{z.real!r},{z.imag!r},{w.real!r},{w.imag!r},"
-            f"{float(result.errors[n])!r},{float(result.log10_errors[n])!r}"
-        )
-    return "\n".join(lines) + "\n"
+    N = len(orbit)
+    z = result.trajectory.values[1 : N + 1]
+    w = orbit.values[1:]
+    cols = (z.real, z.imag, w.real, w.imag, result.errors[1 : N + 1], result.log10_errors[1 : N + 1])
+    return _csv_text("n,re_z,im_z,re_w,im_w,abs_err,log10_abs_err", np.arange(1, N + 1), *cols)

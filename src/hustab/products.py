@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadK, IndexOutOfRange, NonPositiveTerm
-from .sequences import CoefficientSpec, coeff_full
+from .sequences import CoefficientSpec, coeff_arrays
 
 _LOG_MAX = math.log(np.finfo(float).max)  # ~709.78
 TWO_PI = 2.0 * math.pi
@@ -76,7 +76,7 @@ class PartialProductLedger:
              |p(n, 1)| = exp(L_n).
     phase:   slots 1..horizon+1, Theta_n = sum_{j<n} arg(a_j), unreduced.
 
-    Built sequentially, immutable afterwards; concurrent reads are safe.
+    Immutable once built; concurrent reads are safe.
     """
 
     spec: CoefficientSpec
@@ -87,28 +87,34 @@ class PartialProductLedger:
     phase: np.ndarray
 
     def to_csv(self) -> str:
-        lines = ["n,L_n,Theta_n"]
-        for n in range(1, self.horizon + 2):
-            lines.append(f"{n},{float(self.logmag[n])!r},{float(self.phase[n])!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text("n,L_n,Theta_n", np.arange(1, self.horizon + 2), self.logmag[1:], self.phase[1:])
+
+
+def _csv_text(header: str, *columns: np.ndarray) -> str:
+    """The header, then per row the comma-joined repr of each column's entry
+    as a Python int or float, which prints every float round-trip exact.
+    .tolist() runs 4096 rows at a time, so the Python copies stay small."""
+    rows = [header]
+    for start in range(0, len(columns[0]), 4096):
+        lists = [c[start : start + 4096].tolist() for c in columns]
+        rows += (",".join(map(repr, row)) for row in zip(*lists))
+    return "\n".join(rows) + "\n"
 
 
 def build_ledger(spec: CoefficientSpec, horizon: int) -> PartialProductLedger:
     """Materialize coefficients 1..horizon and prefix sums 1..horizon+1."""
     if horizon < 1:
         raise IndexOutOfRange(f"horizon must be >= 1, got {horizon}")
-    a = np.full(horizon + 1, np.nan, dtype=complex)
-    b = np.full(horizon + 1, np.nan, dtype=complex)
-    logmag = np.full(horizon + 2, np.nan)
-    phase = np.full(horizon + 2, np.nan)
-    logmag[1] = 0.0
-    phase[1] = 0.0
-    for n in range(1, horizon + 1):
-        an, bn, la, ang = coeff_full(spec, n)
-        a[n] = an
-        b[n] = bn
-        logmag[n + 1] = logmag[n] + la
-        phase[n + 1] = phase[n] + ang
+    # Slot k reads index k - 1 (slots 0 and 1 read index 1 as padding): a and
+    # b are the views from slot 1, and the logs and phases become L and Theta
+    # in place, behind L_1 = Theta_1 = 0. np.cumsum adds in index order, so
+    # L_{n+1} = L_n + log|a_n| exactly as a sequential loop would.
+    a, b, logmag, phase = coeff_arrays(spec, np.maximum(np.arange(-1, horizon + 1), 1))
+    a, b = a[1:], b[1:]
+    a[0] = b[0] = logmag[0] = phase[0] = np.nan
+    logmag[1] = phase[1] = 0.0
+    np.cumsum(logmag[1:], out=logmag[1:])
+    np.cumsum(phase[1:], out=phase[1:])
     return PartialProductLedger(spec=spec, horizon=horizon, a=a, b=b, logmag=logmag, phase=phase)
 
 
@@ -239,20 +245,26 @@ def scaled_cumsum(log_mag: np.ndarray, phase: np.ndarray, block: int = 256):
     # start, a block whose terms all lie below e^-745 would sum to zero.
     carry_scale = -math.inf
     carry = 0.0 + 0.0j
-    for start in range(0, m, block):
-        end = min(start + block, m)
-        lm = log_mag[start:end]
-        block_max = float(np.max(lm)) if end > start else -math.inf
-        sigma = max(carry_scale, block_max)
-        if not math.isfinite(sigma):  # only zero terms so far
+    start = 0
+    while start < m:
+        lm = log_mag[start : start + block]
+        run = np.maximum.accumulate(lm)
+        # The block ends early where its running maximum climbs more than 700
+        # above its start: prefixes still lower would underflow past e^-708.
+        rise = np.flatnonzero(run > max(carry_scale, float(run[0])) + 700.0)
+        k = int(rise[0]) if rise.size else len(lm)  # >= 1; NaN never counts as a rise
+        lm, end = lm[:k], start + k
+        sigma = max(carry_scale, float(run[k - 1]))
+        if math.isfinite(sigma):
+            with np.errstate(under="ignore"):
+                terms = np.exp((lm - sigma) + 1j * phase[start:end])
+                prefixes = carry * math.exp(carry_scale - sigma) + np.cumsum(terms)
+            scale[start + 1 : end + 1] = sigma
+            mant[start + 1 : end + 1] = prefixes
+            carry_scale = sigma
+            carry = prefixes[-1]
+        else:  # only zero terms so far
             scale[start + 1 : end + 1] = 0.0
             mant[start + 1 : end + 1] = 0.0j
-            continue
-        with np.errstate(under="ignore"):
-            terms = np.exp((lm - sigma) + 1j * phase[start:end])
-            prefixes = carry * math.exp(carry_scale - sigma) + np.cumsum(terms)
-        scale[start + 1 : end + 1] = sigma
-        mant[start + 1 : end + 1] = prefixes
-        carry_scale = sigma
-        carry = prefixes[-1]
+        start = end
     return scale, mant

@@ -3,17 +3,20 @@
 A CoefficientSpec is an immutable generator of coefficient pairs, indexed
 from n = 1. Four kinds exist: a single constant pair, a periodic list, a
 named formula family, and a finite table with an explicit tail rule.
-Formula families also expose an exact closed form for log|a_n| where one
-is available, so downstream log-domain accumulation does not have to go
-through exp/log round trips.
+coeff_arrays is the one definition of the coefficients: it returns a_n,
+b_n, log|a_n| and arg a_n over a whole index array, and every other reader
+(coeff_at, coeff_full, the ledger, the orbits) goes through it. Formula
+families give log|a_n| from its exact closed form, so log-domain
+accumulation does not have to go through exp/log round trips.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from math import isqrt
+from functools import cached_property
+
+import numpy as np
 
 from .errors import EmptyPeriod, PastEnd, UnknownExample, ZeroCoefficient
 
@@ -65,63 +68,86 @@ class CoefficientSpec:
             return len(self.period)
         raise ValueError(f"{self.kind} specs have no period")
 
+    @cached_property
+    def _entry_columns(self) -> tuple[np.ndarray, ...]:
+        """(a, b, log|a|, arg a) of the listed entries of a constant,
+        periodic or table spec, taken once per entry and kept, so that
+        one-element reads cost O(1). Slots are laid out for direct reads:
+        index n reads slot n mod p of a cycle, so entry p comes first, and
+        slot min(n, length) of a table, whose slot 0 repeats entry 1."""
+        pairs = {"constant": (self.constant,), "periodic": self.period, "table": self.table}[self.kind]
+        pairs = {"periodic": pairs[-1:] + pairs[:-1], "table": pairs[:1] + pairs}.get(self.kind, pairs)
+        log_mag = [math.log(abs(a)) if a else -math.inf for a, _ in pairs]
+        # math.atan2 is cmath.phase without its refusal of a subnormal angle
+        phase = [math.atan2(a.imag, a.real) for a, _ in pairs]
+        a = np.array([x for x, _ in pairs], dtype=complex)
+        b = np.array([y for _, y in pairs], dtype=complex)
+        return a, b, np.array(log_mag), np.array(phase)
 
-def _formula_coeff(spec: CoefficientSpec, n: int) -> tuple[complex, complex, float, float]:
-    """(a_n, b_n, log|a_n|, arg a_n) for a formula family, with exact logs."""
-    fam = spec.formula
+
+def _formula_arrays(fam: FormulaSpec, n: np.ndarray) -> tuple[np.ndarray, ...]:
     if fam.name == "near_parabolic":
         # a_n = (1 + 1/n^2)^2 e^{2 pi alpha i},  b_n = -2 a_n
-        alpha = float(fam.params.get("alpha", 0.0))
-        mag = (1.0 + 1.0 / (n * n)) ** 2
-        ang = 2.0 * math.pi * alpha
-        a = cmath.rect(mag, ang)
-        return a, -2.0 * a, 2.0 * math.log1p(1.0 / (n * n)), ang
+        ang = 2.0 * math.pi * float(fam.params.get("alpha", 0.0))
+        x = n.astype(float)
+        x = 1.0 / (x * x)
+        log_mag = 2.0 * np.log1p(x)
+        mag = np.square(1.0 + x)
+        del x  # full-length temporaries go as soon as they are used
+        a = np.empty(n.shape, dtype=complex)
+        a.real = mag * math.cos(ang)
+        a.imag = mag * math.sin(ang)
+        del mag
+        return a, -2.0 * a, log_mag, np.full(n.shape, ang)
     if fam.name == "sparse3_squares":
         # a_n = 3 when n is a perfect square, else 1; b_n = 5
-        r = isqrt(n)
-        if r * r == n:
-            return 3.0 + 0.0j, 5.0 + 0.0j, math.log(3.0), 0.0
-        return 1.0 + 0.0j, 5.0 + 0.0j, 0.0, 0.0
+        r = np.rint(np.sqrt(n)).astype(np.int64)
+        square = r * r == n
+        a = np.where(square, 3.0 + 0.0j, 1.0 + 0.0j)
+        return a, np.full(n.shape, 5.0 + 0.0j), np.where(square, math.log(3.0), 0.0), np.zeros(n.shape)
     raise UnknownExample(f"unknown formula family {fam.name!r}")
 
 
-def coeff_at(spec: CoefficientSpec, n: int) -> Pair:
-    """Exact coefficient pair for index n >= 1.
+def coeff_arrays(spec: CoefficientSpec, n) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(a_n, b_n, log|a_n|, arg a_n) for every index in the integer array n >= 1.
 
-    Periodic specs return entry ((n - 1) mod p) + 1; tables past their end
-    follow the tail rule. Deterministic: same spec and n give identical
-    values bit for bit.
+    The one definition of the coefficients. Constant, periodic and table
+    specs take the log and phase of each listed entry once, then fill or
+    index; formula families evaluate their closed forms over the array.
+    Periodic specs read entry ((n - 1) mod p) + 1; tables past their end
+    follow the tail rule. Same spec and n give identical values bit for bit.
     """
-    a, b, _, _ = coeff_full(spec, n)
-    return a, b
+    n = np.asarray(n, dtype=np.int64)
+    if n.size and n.min() < 1:
+        raise IndexError(f"coefficient index must be >= 1, got {int(n.min())}")
+    if spec.kind == "formula":
+        out = _formula_arrays(spec.formula, n)
+    elif spec.kind == "constant":
+        out = tuple(np.full(n.shape, c[0]) for c in spec._entry_columns)
+    elif spec.kind == "periodic":
+        k = n % len(spec.period)
+        out = tuple(c[k] for c in spec._entry_columns)
+    elif spec.kind == "table":
+        size = len(spec.table)
+        if spec.tail != "repeat" and n.size and n.max() > size:
+            raise PastEnd(f"table of length {size} read at n={int(n[n > size][0])} with error tail")
+        out = tuple(c.take(n, mode="clip") for c in spec._entry_columns)
+    else:
+        raise ValueError(f"unknown spec kind {spec.kind!r}")
+    if not out[0].all():  # name the first index whose a_n = 0
+        raise ZeroCoefficient(f"a_{int(n.flat[np.argmax(out[0] == 0)])} = 0")
+    return out
 
 
 def coeff_full(spec: CoefficientSpec, n: int) -> tuple[complex, complex, float, float]:
-    """(a_n, b_n, log|a_n|, arg a_n), using exact logs for formula families."""
-    if n < 1:
-        raise IndexError(f"coefficient index must be >= 1, got {n}")
-    if spec.kind == "constant":
-        a, b = spec.constant
-    elif spec.kind == "periodic":
-        a, b = spec.period[(n - 1) % len(spec.period)]
-    elif spec.kind == "formula":
-        return _formula_coeff(spec, n)
-    elif spec.kind == "table":
-        if n <= len(spec.table):
-            a, b = spec.table[n - 1]
-        elif spec.tail == "repeat":
-            a, b = spec.table[-1]
-        else:
-            raise PastEnd(f"table of length {len(spec.table)} read at n={n} with error tail")
-    else:
-        raise ValueError(f"unknown spec kind {spec.kind!r}")
-    if a == 0:
-        raise ZeroCoefficient(f"a_{n} = 0")
-    try:
-        angle = cmath.phase(a)
-    except OverflowError:  # cmath.phase refuses a subnormal result; atan2 returns it
-        angle = math.atan2(a.imag, a.real)
-    return complex(a), complex(b), math.log(abs(a)), angle
+    """(a_n, b_n, log|a_n|, arg a_n) for index n >= 1: one element of coeff_arrays."""
+    a, b, log_mag, angle = coeff_arrays(spec, [n])
+    return complex(a[0]), complex(b[0]), float(log_mag[0]), float(angle[0])
+
+
+def coeff_at(spec: CoefficientSpec, n: int) -> Pair:
+    """Exact coefficient pair (a_n, b_n) for index n >= 1."""
+    return coeff_full(spec, n)[:2]
 
 
 def validate(spec: CoefficientSpec) -> CoefficientSpec:

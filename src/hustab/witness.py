@@ -24,6 +24,7 @@ from .dynamics import PerturbedOrbit, _series_term_logs, perturbed_orbit
 from .errors import IndexOutOfRange, NotUnstable
 from .products import (
     PartialProductLedger,
+    _csv_text,
     build_ledger,
     reciprocal_product_sum,
     scaled_cumsum,
@@ -45,24 +46,24 @@ RECIP_CONVERGED_FRACTION = 0.01
 class PerturbationPlan:
     """Recipe for the perturbations r_n; realized values satisfy |r_n| <= epsilon.
 
-    M is the product supremum sup_n |p(n, 1)| over the horizon (linear
-    scale, for reporting) and log_M its exact log-domain channel; both are
-    meaningful for the scaled_product variant only, as is C in (0, 1].
+    log_M is the log of the product supremum M = sup_n |p(n, 1)| over the
+    horizon; it and C in (0, 1] are meaningful for the scaled_product
+    variant only. to_json reports M in linear scale while it stays below
+    e^709, and log_M beyond, so the document remains strict JSON.
     """
 
     variant: str
     epsilon: float
     C: float | None = None
-    M: float | None = None
     log_M: float | None = None
 
     def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "epsilon": self.epsilon,
-            "C": self.C,
-            "M": self.M,
-        }
+        doc = {"variant": self.variant, "epsilon": self.epsilon, "C": self.C}
+        if self.log_M is not None and self.log_M >= 709.0:
+            doc["log_M"] = self.log_M
+        else:
+            doc["M"] = None if self.log_M is None else math.exp(self.log_M)
+        return doc
 
 
 @dataclass(frozen=True)
@@ -98,12 +99,9 @@ class DivergenceCurve:
         return from_n, to_n, to_v / from_v
 
     def to_csv(self) -> str:
-        lines = ["n,d_n,log10_d_n"]
         with np.errstate(divide="ignore"):
             logs = np.log10(self.values)
-        for n, v, lg in zip(self.ns, self.values, logs):
-            lines.append(f"{int(n)},{float(v)!r},{float(lg)!r}")
-        return "\n".join(lines) + "\n"
+        return _csv_text("n,d_n,log10_d_n", self.ns.astype(int), self.values, logs)
 
 
 @dataclass(frozen=True)
@@ -158,9 +156,8 @@ def make_witness(
 
 
 def _scaled_plan(ledger: PartialProductLedger, epsilon: float, C: float = 1.0) -> PerturbationPlan:
-    log_m = float(np.max(ledger.logmag[1:]))
-    m_lin = math.exp(log_m) if log_m < 709.0 else math.inf
-    return PerturbationPlan(variant="scaled_product", epsilon=float(epsilon), C=C, M=m_lin, log_M=log_m)
+    log_m = float(np.max(ledger.logmag[1:]))  # log sup_n |p(n, 1)|
+    return PerturbationPlan(variant="scaled_product", epsilon=float(epsilon), C=C, log_M=log_m)
 
 
 def _real_positive_products(ledger: PartialProductLedger) -> bool:

@@ -57,6 +57,19 @@ def brute_tracking_sum(a, n):
     return total
 
 
+def brute_orbit(a, b, x1, upto, r=None):
+    """x_1 = x1, x_{n+1} = a_n x_n + b_n (+ r_n) by direct recursion in
+    Python complex arithmetic; 1-based padded output of length upto + 1."""
+    out = [np.nan, complex(x1)]
+    x = complex(x1)
+    for n in range(1, upto):
+        x = complex(a[n]) * x + complex(b[n])
+        if r is not None:
+            x = x + complex(r[n])
+        out.append(x)
+    return np.asarray(out, dtype=complex)
+
+
 def brute_residuals(a, r, upto):
     """R_n = a_n R_{n-1} + r_n by direct recursion; 1-based padded output."""
     out = [0.0 + 0.0j]

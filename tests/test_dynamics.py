@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import hustab as hs
 from conftest import (
+    brute_orbit,
     brute_partial_product,
     brute_residuals,
     coeffs_upto,
@@ -114,6 +115,30 @@ def test_residual_round_trip(seed):
     exact = hs.iterate(spec, orbit.w1, n)
     recon = exact.values[2:] + res.values[1 : n - 1 + 1]
     assert np.all(np.abs(orbit.values[2:] - recon) <= 1e-9 * (1 + np.abs(orbit.values[2:])))
+
+
+def test_orbits_equal_naive_recursion_exactly():
+    # iterate, perturbed_orbit and residual_ledger share one kernel; each
+    # must reproduce direct recursion over coeff_at bit for bit, not just
+    # within a tolerance.
+    rng = np.random.default_rng(12)
+    cases = [
+        (hs.builtin_example("alternating_2_half"), 2000),
+        (hs.builtin_example("period3_2_i_third"), 2000),
+        (hs.builtin_example("near_parabolic", alpha=1 / 3), 2000),
+        (hs.builtin_example("sparse3_squares"), 1000),
+        (hs.builtin_example("constant", a=0.9 - 0.3j, b=1j), 2000),
+        (random_table_spec(rng, 300, amin=0.5, amax=2.0), 300),
+    ]
+    for spec, n in cases:
+        a, b = coeffs_upto(spec, n)
+        r = padded(random_disc(rng, n - 1, 0.1))
+        z = hs.iterate(spec, 0.5 - 0.25j, n).values
+        assert np.array_equal(z[1:], brute_orbit(a, b, 0.5 - 0.25j, n)[1:])
+        orbit = hs.perturbed_orbit(spec, 1j, r, 0.1)
+        assert np.array_equal(orbit.values[1:], brute_orbit(a, b, 1j, n, r)[1:])
+        res = hs.residual_ledger(orbit, spec, check=False)
+        assert np.array_equal(res.values, brute_residuals(a, r, n - 1))
 
 
 def test_error_decomposition_with_distinct_starts():
@@ -231,6 +256,20 @@ def test_shadow_expanding_phase_aligned_sparse3_periodic():
     res = hs.shadow_expanding(hs.perturbed_orbit(spec, 0.0, r, 1.0), spec, led)
     assert res.sup_error == pytest.approx(3.5, rel=1e-12)
     assert np.count_nonzero(res.errors[1:N] == 0.0) == 0
+
+
+def test_shadow_expanding_no_underflow_within_a_block():
+    # |a| = 100 climbs ~4.6 per index in log, so one block of the reversed
+    # tails spans ~1180: its early prefixes underflowed to 0 unless the
+    # block is cut. The exact error is sum_{k=1}^{N-n} 100^{-k}.
+    N = 2000
+    spec = hs.builtin_example("constant", a=100, b=1)
+    led = hs.build_ledger(spec, N)
+    r = padded(np.exp(1j * led.phase[2 : N + 1]))
+    res = hs.shadow_expanding(hs.perturbed_orbit(spec, 0.0, r, 1.0), spec, led)
+    k = (N - np.arange(1, N)).astype(float)
+    exact = (1.0 - 100.0**-k) / 99.0
+    assert np.all(np.abs(res.errors[1:N] - exact) <= 1e-10 * exact)
 
 
 def test_shadow_expanding_rejects_contracting_tail():

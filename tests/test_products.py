@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
-from conftest import brute_partial_product, brute_tracking_sum, coeffs_upto
+from conftest import brute_partial_product, brute_tracking_sum, coeffs_upto, random_table_spec
 from hustab.errors import BadK, IndexOutOfRange, NonPositiveTerm, ZeroCoefficient
 from hustab.products import scaled_cumsum, wrap_phase
+from hustab.sequences import coeff_full
 
 
 def test_alternating_product_magnitudes():
@@ -261,6 +262,46 @@ def test_scaled_cumsum_below_underflow():
     log_prefix = scale[1:] + np.log(np.abs(mant[1:]))
     expect = (j - 2000.0) + np.log((1.0 - np.exp(-(j + 1.0))) / (1.0 - math.exp(-1.0)))
     assert np.max(np.abs(log_prefix - expect)) <= 1e-9
+
+
+def test_ledger_sums_coeff_full_logs_exactly():
+    # The vectorized ledger must equal the sequential sums of the per-index
+    # logs and phases bit for bit: L_{n+1} = L_n + log|a_n| with == .
+    rng = np.random.default_rng(5)
+    N = 5000
+    specs = [hs.builtin_example(name) for name in hs.BUILTIN_NAMES]
+    specs += [
+        hs.builtin_example("near_parabolic", alpha=1 / 3),
+        hs.periodic_spec(zip(np.exp(rng.normal(0, 1, 7) + 2j * np.pi * rng.uniform(0, 1, 7)), np.ones(7))),
+        random_table_spec(rng, 700, tail="repeat"),
+    ]
+    for spec in specs:
+        led = hs.build_ledger(spec, N)
+        assert led.logmag[1] == 0.0 and led.phase[1] == 0.0
+        for n in range(1, N + 1):
+            a, b, log_mag, angle = coeff_full(spec, n)
+            assert (led.a[n], led.b[n]) == (a, b)
+            assert led.logmag[n + 1] == led.logmag[n] + log_mag
+            assert led.phase[n + 1] == led.phase[n] + angle
+
+
+def test_scaled_cumsum_splits_blocks_wider_than_underflow():
+    # log-magnitudes rising by 10 per term span 2550 within one block of
+    # 256: every prefix is dominated by its last term and must stay nonzero.
+    j = np.arange(1000, dtype=float)
+    scale, mant = scaled_cumsum(10.0 * j - 5000.0, np.zeros(1000))
+    log_prefix = scale[1:] + np.log(np.abs(mant[1:]))
+    expect = (10.0 * j - 5000.0) + np.log((1.0 - np.exp(-10.0 * (j + 1.0))) / (1.0 - math.exp(-10.0)))
+    assert np.max(np.abs(log_prefix - expect)) <= 1e-9
+
+
+def test_scaled_cumsum_nan_terms_end_the_scan():
+    # A NaN coefficient makes every later log-magnitude NaN; NaN never
+    # counts as a rise, so block splitting still ends.
+    lm = np.concatenate([10.0 * np.arange(300.0), np.full(300, np.nan)])
+    scale, mant = scaled_cumsum(lm, np.zeros(600))
+    assert len(scale) == len(mant) == 601
+    assert np.all(np.isfinite(mant[1:301]))
 
 
 def test_ledger_csv_shape():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -217,6 +218,21 @@ def test_plan_json_round_trip_fields():
     assert doc["epsilon"] == 2.0
     assert doc["C"] == 1.0
     assert doc["M"] == pytest.approx(3.0**31, rel=1e-9)
+
+
+def test_plan_json_is_strict_past_float_range():
+    # sup |p(n, 1)| = 2^2000 overflows binary64; the plan then reports
+    # log_M in place of a linear M of Infinity.
+    spec = hs.builtin_example("constant", a=2, b=5)
+    led = hs.build_ledger(spec, 2000)
+    plan = hs.make_witness(spec, led, "linear_growth_products", 1.0, variant="scaled_product")
+
+    def refuse(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    doc = json.loads(json.dumps(plan.to_json()), parse_constant=refuse)
+    assert "M" not in doc
+    assert doc["log_M"] == pytest.approx(2000 * math.log(2.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
