@@ -25,7 +25,7 @@ from .classify import (
     classify,
     series_envelope,
 )
-from .errors import StabilityToolError, TailNotConvergent
+from .errors import InvalidSpec, StabilityToolError, TailNotConvergent
 from .products import build_ledger
 
 
@@ -37,7 +37,10 @@ def _build_spec(cfg: argparse.Namespace) -> sequences.CoefficientSpec:
     if (cfg.builtin is None) == (cfg.spec_path is None):
         raise ValueError("give exactly one of --builtin NAME or --spec PATH")
     if cfg.spec_path is not None:
-        data = json.loads(Path(cfg.spec_path).read_text())
+        try:
+            data = json.loads(Path(cfg.spec_path).read_text())
+        except RecursionError:
+            raise InvalidSpec("spec JSON nests too deeply") from None
         return sequences.spec_from_json(data)
     return sequences.builtin_example(cfg.builtin, alpha=cfg.alpha, p=cfg.p, a=cfg.a, b=cfg.b)
 
@@ -186,28 +189,27 @@ _COMMANDS = {
 
 
 def _parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="hustab", description=__doc__)
-    sub = top.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--builtin", help="builtin example name")
-        p.add_argument("--spec", dest="spec_path", help="path to a spec JSON file")
-        p.add_argument("--alpha", type=float, default=0.0, help="near_parabolic rotation parameter")
-        p.add_argument("--p", type=int, default=3, help="sparse3_periodic period")
-        p.add_argument("--a", type=complex, default=2.0 + 0.0j, help="constant builtin a")
-        p.add_argument("--b", type=complex, default=5.0 + 0.0j, help="constant builtin b")
-        p.add_argument("--horizon", type=int, default=10_000)
-        p.add_argument("--epsilon", type=float, default=0.01)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
-        p.add_argument("--out", help="output path for the CSV/JSON artifact")
-        p.add_argument("--force", action="store_true")
-        p.add_argument("--delta", type=float, default=0.1)
-        p.add_argument("--band", type=float, default=0.02)
-        p.add_argument("--window", type=float, default=0.5)
-        p.add_argument("--z1", type=complex, default=0.0 + 0.0j, help="initial value")
-        p.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-9)
-    return top
+    """One parser for every command: they all take the same flags."""
+    p = argparse.ArgumentParser(prog="hustab", description=__doc__)
+    p.add_argument("command", choices=tuple(_COMMANDS))
+    p.add_argument("--builtin", help="builtin example name")
+    p.add_argument("--spec", dest="spec_path", help="path to a spec JSON file")
+    p.add_argument("--alpha", type=float, default=0.0, help="near_parabolic rotation parameter")
+    p.add_argument("--p", type=int, default=3, help="sparse3_periodic period")
+    p.add_argument("--a", type=complex, default=2.0 + 0.0j, help="constant builtin a")
+    p.add_argument("--b", type=complex, default=5.0 + 0.0j, help="constant builtin b")
+    p.add_argument("--horizon", type=int, default=10_000)
+    p.add_argument("--epsilon", type=float, default=0.01)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
+    p.add_argument("--out", help="output path for the CSV/JSON artifact")
+    p.add_argument("--force", action="store_true")
+    p.add_argument("--delta", type=float, default=0.1)
+    p.add_argument("--band", type=float, default=0.02)
+    p.add_argument("--window", type=float, default=0.5)
+    p.add_argument("--z1", type=complex, default=0.0 + 0.0j, help="initial value")
+    p.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-9)
+    return p
 
 
 def main(argv=None) -> int:

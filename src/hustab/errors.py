@@ -17,6 +17,12 @@ class PastEnd(StabilityToolError):
     """A table spec with an error-past-end tail was read beyond its last entry."""
 
 
+class InvalidSpec(StabilityToolError, ValueError):
+    """A spec document or spec value is malformed: not a JSON object, a
+    missing field, a pair that is not four numbers, or a non-finite
+    coefficient or formula parameter."""
+
+
 class UnknownExample(StabilityToolError):
     """Requested builtin example name does not exist."""
 

@@ -227,7 +227,7 @@ def balance_ratio(t, K: float, n: int) -> float:
     return math.exp(weighted[n - 1] - _logsumexp(weighted[: n - 1]))
 
 
-def scaled_cumsum(log_mag: np.ndarray, phase: np.ndarray, block: int = 256):
+def scaled_cumsum(log_mag: np.ndarray, phase: np.ndarray):
     """Prefix sums of the complex terms exp(log_mag_j + i phase_j), scaled.
 
     Returns (scale, mantissa) arrays of length len(terms) + 1 with
@@ -235,36 +235,38 @@ def scaled_cumsum(log_mag: np.ndarray, phase: np.ndarray, block: int = 256):
     mantissas stay O(number of terms) even when the prefixes themselves
     are far outside binary64 range, which is what the shadow and witness
     error curves need on strongly expanding or contracting sequences.
+
+    The terms are summed in blocks, each carried at the scale of its
+    largest term. A block ends only where the running maximum of log_mag
+    climbs more than 700 above its level at the block's start: prefixes
+    lower than that against the block's scale would underflow past e^-708.
+    The scale starts at the first nonzero term, since from any fixed start
+    terms below e^-745 would sum to zero. NaN terms count as -inf in the
+    running maximum, so they never count as a rise; they still make every
+    later prefix NaN.
     """
     m = len(log_mag)
     scale = np.empty(m + 1)
     mant = np.empty(m + 1, dtype=complex)
     scale[0] = 0.0
     mant[0] = 0.0j
-    # The scale starts at the first nonzero block's maximum: from any fixed
-    # start, a block whose terms all lie below e^-745 would sum to zero.
+    run = np.maximum.accumulate(np.where(np.isnan(log_mag), -math.inf, log_mag))
     carry_scale = -math.inf
     carry = 0.0 + 0.0j
     start = 0
     while start < m:
-        lm = log_mag[start : start + block]
-        run = np.maximum.accumulate(lm)
-        # The block ends early where its running maximum climbs more than 700
-        # above its start: prefixes still lower would underflow past e^-708.
-        rise = np.flatnonzero(run > max(carry_scale, float(run[0])) + 700.0)
-        k = int(rise[0]) if rise.size else len(lm)  # >= 1; NaN never counts as a rise
-        lm, end = lm[:k], start + k
-        sigma = max(carry_scale, float(run[k - 1]))
-        if math.isfinite(sigma):
-            with np.errstate(under="ignore"):
-                terms = np.exp((lm - sigma) + 1j * phase[start:end])
-                prefixes = carry * math.exp(carry_scale - sigma) + np.cumsum(terms)
-            scale[start + 1 : end + 1] = sigma
-            mant[start + 1 : end + 1] = prefixes
-            carry_scale = sigma
-            carry = prefixes[-1]
-        else:  # only zero terms so far
-            scale[start + 1 : end + 1] = 0.0
-            mant[start + 1 : end + 1] = 0.0j
+        # run is nondecreasing, so the block's end is one binary search; with
+        # run[start] = -inf it is the first nonzero term.
+        end = int(np.searchsorted(run, run[start] + 700.0, side="right"))
+        top = float(run[end - 1])
+        sigma = top if top > -math.inf else 0.0  # only zero or NaN terms so far
+        with np.errstate(under="ignore", invalid="ignore"):
+            prefixes = np.cumsum(np.exp((log_mag[start:end] - sigma) + 1j * phase[start:end]))
+        if carry:  # carry_scale <= sigma, so the factor never overflows
+            prefixes += carry * math.exp(carry_scale - sigma)
+        scale[start + 1 : end + 1] = sigma
+        mant[start + 1 : end + 1] = prefixes
+        carry_scale = top
+        carry = prefixes[-1]
         start = end
     return scale, mant

@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyPeriod, PastEnd, UnknownExample, ZeroCoefficient
+from .errors import EmptyPeriod, InvalidSpec, PastEnd, UnknownExample, ZeroCoefficient
 
 KINDS = ("constant", "periodic", "formula", "table")
 TAIL_RULES = ("repeat", "error")
@@ -77,12 +77,15 @@ class CoefficientSpec:
         slot min(n, length) of a table, whose slot 0 repeats entry 1."""
         pairs = {"constant": (self.constant,), "periodic": self.period, "table": self.table}[self.kind]
         pairs = {"periodic": pairs[-1:] + pairs[:-1], "table": pairs[:1] + pairs}.get(self.kind, pairs)
-        log_mag = [math.log(abs(a)) if a else -math.inf for a, _ in pairs]
+        # np.fromiter keeps no whole-table Python list alive; validate builds
+        # these columns while the parsed spec document still is
+        n = len(pairs)
+        log_mag = np.fromiter((math.log(abs(a)) if a else -math.inf for a, _ in pairs), float, n)
         # math.atan2 is cmath.phase without its refusal of a subnormal angle
-        phase = [math.atan2(a.imag, a.real) for a, _ in pairs]
-        a = np.array([x for x, _ in pairs], dtype=complex)
-        b = np.array([y for _, y in pairs], dtype=complex)
-        return a, b, np.array(log_mag), np.array(phase)
+        phase = np.fromiter((math.atan2(a.imag, a.real) for a, _ in pairs), float, n)
+        a = np.fromiter((x for x, _ in pairs), complex, n)
+        b = np.fromiter((y for _, y in pairs), complex, n)
+        return a, b, log_mag, phase
 
 
 def _formula_arrays(fam: FormulaSpec, n: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -150,37 +153,61 @@ def coeff_at(spec: CoefficientSpec, n: int) -> Pair:
     return coeff_full(spec, n)[:2]
 
 
+def _listed_entries(spec: CoefficientSpec) -> tuple[np.ndarray, np.ndarray]:
+    """a and b of a constant, periodic or table spec's listed entries,
+    entry 1 first, from the cached columns."""
+    a, b = spec._entry_columns[:2]
+    if spec.kind == "periodic":  # entry p sits in slot 0
+        return np.roll(a, -1), np.roll(b, -1)
+    if spec.kind == "table":  # slot 0 repeats entry 1
+        return a[1:], b[1:]
+    return a, b
+
+
 def validate(spec: CoefficientSpec) -> CoefficientSpec:
     """Check every statically checkable invariant; return the spec unchanged.
 
-    Constant, periodic and table specs are checked entry by entry; formula
-    families are checked by rule (both builtin families are zero-free for
-    all n). Raises ZeroCoefficient or EmptyPeriod on violation.
+    Constant, periodic and table specs are checked over their listed
+    entries: each a_n and b_n must be finite and each a_n nonzero; the
+    first offending entry is named. Formula families are checked by rule
+    (both builtin families are zero-free for all n), and their parameters
+    must be finite numbers. Raises InvalidSpec, ZeroCoefficient or
+    EmptyPeriod on violation.
     """
     if spec.kind not in KINDS:
         raise ValueError(f"unknown spec kind {spec.kind!r}")
-    if spec.kind == "constant":
-        if spec.constant is None or spec.constant[0] == 0:
-            raise ZeroCoefficient("constant spec has a = 0")
-    elif spec.kind == "periodic":
-        if not spec.period:
-            raise EmptyPeriod("periodic spec has no entries")
-        for k, (a, _) in enumerate(spec.period, start=1):
-            if a == 0:
-                raise ZeroCoefficient(f"period entry {k} has a = 0")
-    elif spec.kind == "table":
+    if spec.kind == "formula":
+        if spec.formula is None or spec.formula.name not in FORMULA_FAMILIES:
+            name = None if spec.formula is None else spec.formula.name
+            raise UnknownExample(f"unknown formula family {name!r}")
+        for key, val in spec.formula.params.items():
+            if not _is_finite_number(val):
+                raise InvalidSpec(f"formula parameter {key!r} = {val!r} is not a finite number")
+        return spec
+    if spec.kind == "constant" and spec.constant is None:
+        raise ZeroCoefficient("constant spec has a = 0")
+    if spec.kind == "periodic" and not spec.period:
+        raise EmptyPeriod("periodic spec has no entries")
+    if spec.kind == "table":
         if not spec.table:
             raise EmptyPeriod("table spec has no entries")
         if spec.tail not in TAIL_RULES:
             raise ValueError(f"table tail rule must be one of {TAIL_RULES}, got {spec.tail!r}")
-        for k, (a, _) in enumerate(spec.table, start=1):
-            if a == 0:
-                raise ZeroCoefficient(f"table entry {k} has a = 0")
-    elif spec.kind == "formula":
-        if spec.formula is None or spec.formula.name not in FORMULA_FAMILIES:
-            name = None if spec.formula is None else spec.formula.name
-            raise UnknownExample(f"unknown formula family {name!r}")
+    a, b = _listed_entries(spec)
+    bad = ~(np.isfinite(a) & np.isfinite(b))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InvalidSpec(f"{_entry_name(spec, k)} is not finite: a = {a[k]}, b = {b[k]}")
+    if not a.all():
+        raise ZeroCoefficient(f"{_entry_name(spec, int(np.argmin(a != 0)))} has a = 0")
     return spec
+
+
+def _entry_name(spec: CoefficientSpec, k: int) -> str:
+    """How errors name listed entry k + 1."""
+    if spec.kind == "constant":
+        return "constant spec"
+    return f"{'period' if spec.kind == 'periodic' else 'table'} entry {k + 1}"
 
 
 def constant_spec(a: complex, b: complex) -> CoefficientSpec:
@@ -244,8 +271,26 @@ def _pair_to_list(pair: Pair) -> list[float]:
     return [a.real, a.imag, b.real, b.imag]
 
 
+# The Python types of JSON numbers; bool, an int subclass, is not one.
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def _is_finite_number(v) -> bool:
+    """Whether v is a JSON number of finite float value."""
+    try:
+        return type(v) in _NUMBER_TYPES and math.isfinite(v)
+    except OverflowError:  # an int past float range
+        return False
+
+
 def _pair_from_list(vals) -> Pair:
-    re_a, im_a, re_b, im_b = (float(v) for v in vals)
+    # type checks through C-level map, since tables run to 1e5+ pairs
+    if type(vals) is not list or len(vals) != 4 or not _NUMBER_TYPES.issuperset(map(type, vals)):
+        raise InvalidSpec(f"a coefficient pair must be 4 numbers [re a, im a, re b, im b], got {vals!r}")
+    try:
+        re_a, im_a, re_b, im_b = map(float, vals)
+    except OverflowError:
+        raise InvalidSpec(f"coefficient pair {vals!r} leaves float range") from None
     return complex(re_a, im_a), complex(re_b, im_b)
 
 
@@ -263,23 +308,45 @@ def spec_to_json(spec: CoefficientSpec) -> dict:
     return data
 
 
+_JSON_KINDS = {list: "array", dict: "object", str: "string"}
+
+
+def _field(doc: dict, key: str, kind: type, where: str):
+    """doc[key], which must be present and hold the given JSON kind."""
+    val = doc.get(key)
+    if not isinstance(val, kind):
+        raise InvalidSpec(f"{where} needs a {key!r} field holding a JSON {_JSON_KINDS[kind]}, got {val!r}")
+    return val
+
+
 def spec_from_json(data: dict) -> CoefficientSpec:
+    """The spec a wire-format document describes, validated.
+
+    Raises InvalidSpec when the document is not an object, lacks a field
+    its kind needs or holds it with the wrong JSON type, or has a pair that
+    is not four numbers; validate then rejects non-finite values.
+    """
+    if not isinstance(data, dict):
+        raise InvalidSpec(f"a spec must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
     if kind == "constant":
-        spec = CoefficientSpec(kind="constant", constant=_pair_from_list(data["constant"]))
+        pair = _pair_from_list(_field(data, "constant", list, "a constant spec"))
+        spec = CoefficientSpec(kind="constant", constant=pair)
     elif kind == "periodic":
-        spec = CoefficientSpec(
-            kind="periodic", period=tuple(_pair_from_list(p) for p in data["period"])
-        )
+        pairs = _field(data, "period", list, "a periodic spec")
+        spec = CoefficientSpec(kind="periodic", period=tuple(_pair_from_list(p) for p in pairs))
     elif kind == "formula":
-        f = data["formula"]
-        spec = CoefficientSpec(kind="formula", formula=FormulaSpec(f["name"], dict(f.get("params", {}))))
+        f = _field(data, "formula", dict, "a formula spec")
+        name = _field(f, "name", str, "a formula")
+        params = f.get("params", {})
+        if not isinstance(params, dict):
+            raise InvalidSpec(f"formula params must be a JSON object, got {params!r}")
+        spec = CoefficientSpec(kind="formula", formula=FormulaSpec(name, dict(params)))
     elif kind == "table":
+        pairs = _field(data, "table", list, "a table spec")
         spec = CoefficientSpec(
-            kind="table",
-            table=tuple(_pair_from_list(p) for p in data["table"]),
-            tail=data.get("tail", "error"),
+            kind="table", table=tuple(_pair_from_list(p) for p in pairs), tail=data.get("tail", "error")
         )
     else:
-        raise ValueError(f"unknown spec kind {kind!r}")
+        raise InvalidSpec(f"unknown spec kind {kind!r}")
     return validate(spec)

@@ -14,6 +14,8 @@ the accumulated residuals.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -237,6 +239,10 @@ class _Objective:
     expanding products magnify keep their digits, and |u_j| >= |r_j| keeps
     the scaled sums clear of underflow. Constraints whose x_n is not
     representable are floors; log_floor is the largest of their values.
+
+    The constraints and m depend on N only through which n they cover, so
+    every prefix 2..n with the same root m (n >= m) is a restriction of
+    this objective: see prefix.
     """
 
     def __init__(self, ledger: PartialProductLedger, r: np.ndarray, N: int):
@@ -253,11 +259,28 @@ class _Objective:
         with np.errstate(divide="ignore"):
             log_x = scale + np.log(np.abs(mant))
         floor = log_x > _LOG_CENTER_MAX
-        self.log_floor = float(np.max(log_w[floor] + log_x[floor])) if np.any(floor) else -math.inf
+        # slot n - 2: the largest floor, and the count of representable
+        # constraints, among constraints 2..n
+        self._floor_upto = np.maximum.accumulate(np.where(floor, log_w + log_x, -math.inf))
+        self._kept_upto = np.cumsum(~floor)
+        self.log_floor = float(self._floor_upto[-1])
         self.log_w = log_w[~floor]
         self.x = _linear(scale[~floor], mant[~floor])
         # c_m = -S_{m-1} = -(u_1 + ... + u_{m-1}) / w_m
         self.c_m = complex(_linear(b_scale[m - 1 : m] - self.log_wm, -b_mant[m - 1 : m])[0])
+
+    def prefix(self, n: int) -> _Objective:
+        """The objective of the prefix 2..n, for root <= n <= N.
+
+        Its root is this one's, and its constraints are this one's first
+        n - 1; the representable ones among them come first in log_w and x,
+        so they are views.
+        """
+        sub = copy.copy(self)
+        k = int(self._kept_upto[n - 2])
+        sub.log_w, sub.x = self.log_w[:k], self.x[:k]
+        sub.log_floor = float(self._floor_upto[n - 2])
+        return sub
 
     def log_values(self, y: complex) -> np.ndarray:
         """log of every representable constraint at y."""
@@ -277,10 +300,13 @@ def _linear(scale: np.ndarray, mant: np.ndarray) -> np.ndarray:
     """mant e^scale, through the log of the modulus where e^scale alone
     would leave float range."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
-        direct = mant * np.exp(scale)
-        unit = np.where(mant != 0, mant / np.abs(mant), 0.0)
-        via_log = np.exp(scale + np.log(np.abs(mant))) * unit
-    return np.where(np.abs(scale) <= _LOG_CENTER_MAX, direct, via_log)
+        out = mant * np.exp(scale)
+        far = np.flatnonzero(np.abs(scale) > _LOG_CENTER_MAX)
+        if far.size:
+            s, z = scale[far], mant[far]
+            unit = np.where(z != 0, z / np.abs(z), 0.0)
+            out[far] = np.exp(s + np.log(np.abs(z))) * unit
+    return out
 
 
 def _pair_point(obj: _Objective, i: int, j: int) -> complex:
@@ -439,6 +465,13 @@ def _one_center(obj: _Objective) -> tuple[complex, float]:
     return best_y, best_max
 
 
+def _solve(obj: _Objective) -> tuple[complex, float]:
+    """(y, log value) of the best shadow: the 1-center of the representable
+    constraints, with the value raised to the largest floor."""
+    y, log_v = _one_center(obj)
+    return y, max(log_v, obj.log_floor)
+
+
 def best_shadow_oracle(
     orbit: PerturbedOrbit,
     spec: CoefficientSpec,
@@ -462,8 +495,7 @@ def best_shadow_oracle(
     if ledger.horizon + 1 < N:
         raise IndexOutOfRange(f"ledger horizon {ledger.horizon} too small for N={N}")
     obj = _Objective(ledger, orbit.perturbations, N)
-    y, log_v = _one_center(obj)
-    log_v = max(log_v, obj.log_floor)
+    y, log_v = _solve(obj)
     d = obj.d_at(y)
     with np.errstate(over="ignore"):
         value = float(np.exp(log_v))
@@ -502,8 +534,26 @@ def run_witness(
     r = realize_plan(plan, ledger, N)
     orbit = perturbed_orbit(spec, w1, r, plan.epsilon)
     ns = sorted(set(prefixes) | {N}) if prefixes else default_prefixes(N)
-    values = []
-    for n in ns:
-        values.append(best_shadow_oracle(orbit, spec, ledger, n).value)
-    values = np.maximum.accumulate(np.asarray(values, dtype=float))
+    if ns[0] < 2 or ns[-1] > N:
+        raise IndexOutOfRange(f"prefixes must lie in [2, {N}], got {ns}")
+    with np.errstate(over="ignore"):
+        values = np.exp(_prefix_log_values(ledger, r, ns))
+    values = np.maximum.accumulate(values)
     return WitnessRun(orbit=orbit, curve=DivergenceCurve(ns=np.asarray(ns), values=values))
+
+
+def _prefix_log_values(ledger: PartialProductLedger, r: np.ndarray, ns: list[int]) -> list[float]:
+    """log of the best-shadow value of each prefix 2..n, n in the sorted ns.
+
+    The root m = argmax L_n of a prefix can only move right as n grows, so
+    prefixes sharing a root are consecutive in ns; each such run solves
+    restrictions of one objective, built at its largest prefix.
+    """
+    L = ledger.logmag
+    roots = [int(np.argmax(L[2 : n + 1])) for n in ns]
+    logs = []
+    for _, group in itertools.groupby(zip(roots, ns), key=lambda pair: pair[0]):
+        group = [n for _, n in group]
+        obj = _Objective(ledger, r, group[-1])
+        logs += [_solve(obj.prefix(n))[1] for n in group]
+    return logs

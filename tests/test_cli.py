@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hustab as hs
 from hustab.cli import main
@@ -203,3 +205,73 @@ def test_simulate_csv(capsys):
                        "--z1", "1", "--horizon", "3", "--format", "csv")
     assert code == 0
     assert out == "n,re_z,im_z\n1,1.0,0.0\n2,7.0,0.0\n3,19.0,0.0\n"
+
+
+def test_bad_command_line_exits_2(capsys):
+    for argv in (["nope"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", "--help"])
+    assert exc.value.code == 0
+    assert "--tail-tol" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("doc", [
+    '{"kind": "periodic"}',
+    "[1, 2]",
+    '{"kind": "constant", "constant": [NaN, 0, 1, 0]}',
+    '{"kind": "constant", "constant": [1e400, 0, 1, 0]}',
+    "[" * 100_000 + "]" * 100_000,
+])
+def test_malformed_or_non_finite_spec_is_one_line_error(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(doc)
+    code, out, err = run(capsys, "classify", "--spec", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_NUMBERS = st.one_of(
+    st.floats(),
+    st.integers(-(10**400), 10**400),
+    st.sampled_from([0, 1, -1, 0.5, 2.0, 3, 5e-324, 1e-300, 1e300]),
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), _NUMBERS, st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    max_leaves=10,
+)
+_PAIR = st.one_of(st.lists(_NUMBERS, min_size=4, max_size=4), _JSON)
+_SPEC_DOCS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries({"kind": st.just("constant"), "constant": _PAIR}),
+    st.fixed_dictionaries({"kind": st.just("periodic"), "period": st.lists(_PAIR, max_size=4)}),
+    st.fixed_dictionaries({
+        "kind": st.just("table"),
+        "table": st.lists(_PAIR, max_size=4),
+        "tail": st.sampled_from(["repeat", "error", "wrap", 3]),
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("formula"),
+        "formula": st.fixed_dictionaries({
+            "name": st.sampled_from(["near_parabolic", "sparse3_squares", "nope"]),
+            "params": st.one_of(st.dictionaries(st.sampled_from(["alpha", "p"]), _NUMBERS, max_size=2), _JSON),
+        }),
+    }),
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_SPEC_DOCS, command=st.sampled_from(["classify", "simulate", "shadow", "witness"]))
+def test_wire_format_fuzz_exit_codes(tmp_path, capsys, doc, command):
+    # Whatever the document, the CLI exits 0, 1 or 2; an error is one
+    # "error:" line, never a traceback.
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, command, "--spec", str(path), "--horizon", "64", "--force")
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1

@@ -13,6 +13,7 @@ from conftest import (
     random_disc,
     random_table_spec,
 )
+from hustab.dynamics import _check_identity
 from hustab.errors import TailNotConvergent
 
 
@@ -189,6 +190,24 @@ def test_shadow_contracting_zero_perturbation_is_exact():
     res = hs.shadow_contracting(orbit, spec)
     assert res.sup_error == 0.0
     assert np.all(res.trajectory.values[1:] == orbit.values[1:])
+
+
+def test_shadow_contracting_orbit_through_large_values():
+    # a = i, b = 2^21 i: the orbit visits |w| ~ 2^21 and returns near 0
+    # every fourth step, carrying rounding of ulp(2^21) ~ 5e-10 there. The
+    # error curve is |R_{n-1}| to rounding, and the identity check passes.
+    rng = np.random.default_rng(17)
+    spec = hs.constant_spec(1j, 2.0**21 * 1j)
+    r = padded(0.01 * random_disc(rng, 63))
+    orbit = hs.perturbed_orbit(spec, 0.0, r, 0.01)
+    res = hs.shadow_contracting(orbit, spec)
+    rr = brute_residuals(coeffs_upto(spec, 64)[0], r, 63)
+    assert np.allclose(res.errors[2:], np.abs(rr[1:64]), rtol=1e-12, atol=0.0)
+    hs.residual_ledger(orbit, spec, check=True)
+    # a trajectory off by a relative 1e-6 still fails the identity
+    off = hs.Trajectory(spec=spec, values=res.trajectory.values * (1.0 + 1e-6))
+    with pytest.raises(ArithmeticError):
+        _check_identity(orbit, off, hs.residual_ledger(orbit, spec, check=False).values)
 
 
 def test_shadow_expanding_constant2_bound():

@@ -310,3 +310,68 @@ def test_ledger_csv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "n,L_n,Theta_n"
     assert len(lines) == 7  # header + indices 1..6
+
+
+def _rise_blocks(log_mag):
+    """Blocks by the rule, counted naively: one starts at the first term and
+    wherever the running maximum (NaN skipped) passes the level at the
+    current block's start by more than 700."""
+    blocks, level, run = 0, None, -math.inf
+    for v in log_mag:
+        if not math.isnan(v):
+            run = max(run, v)
+        if level is None or run > level + 700.0:
+            blocks, level = blocks + 1, run
+    return blocks
+
+
+def test_scaled_cumsum_one_block_per_700_of_rise():
+    # Each block is carried at its own scale, so distinct scales count blocks.
+    rng = np.random.default_rng(21)
+    flat = rng.uniform(-300.0, 300.0, 5000)  # never 700 above its start
+    scale, _ = scaled_cumsum(flat, rng.uniform(-4.0, 4.0, 5000))
+    assert np.unique(scale[1:]).size == 1
+    walk = np.cumsum(rng.normal(1.5, 4.0, 5000))  # rises about 7500 in all
+    scale, mant = scaled_cumsum(walk, np.zeros(5000))
+    assert np.unique(scale[1:]).size == _rise_blocks(walk) >= 10
+    # no prefix's largest term lies more than 700 below its block's scale
+    assert np.all(np.maximum.accumulate(walk) - scale[1:] >= -700.0)
+    assert np.all(mant[1:] != 0)
+
+
+def test_scaled_cumsum_leading_zero_and_nan_terms():
+    rng = np.random.default_rng(22)
+    lm, ph = rng.uniform(-5.0, 5.0, 400), rng.uniform(-3.0, 3.0, 400)
+    direct = np.cumsum(np.exp(lm + 1j * ph))
+    scale, mant = scaled_cumsum(np.concatenate([np.full(50, -np.inf), lm]), np.concatenate([np.zeros(50), ph]))
+    assert np.all(scale[:51] == 0.0) and np.all(mant[:51] == 0.0)
+    got = np.exp(scale[51:]) * mant[51:]
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.sum(np.exp(lm))
+    # a leading NaN term neither splits blocks nor stops the scan; every
+    # prefix holding it is NaN
+    lm_nan = np.concatenate([[np.nan, -np.inf], 10.0 * np.arange(400.0)])
+    scale, mant = scaled_cumsum(lm_nan, np.zeros(402))
+    assert len(scale) == len(mant) == 403
+    assert np.all(np.isnan(mant[1:]))
+    assert np.unique(scale[3:]).size == _rise_blocks(lm_nan[2:])
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_scaled_cumsum_matches_mpmath_across_rises(seed):
+    # A random walk rising about 4800 over 600 terms, falling by hundreds
+    # in places, against an exact log-sum-exp. Each prefix may err by
+    # rounding relative to the sum of its terms' moduli.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    lm = np.cumsum(rng.normal(8.0, 30.0, 600))
+    ph = rng.uniform(-math.pi, math.pi, 600)
+    scale, mant = scaled_cumsum(lm, ph)
+    assert np.unique(scale[1:]).size == _rise_blocks(lm)
+    with mpmath.workdps(40):
+        exact, mass = mpmath.mpc(0), mpmath.mpf(0)
+        for k in range(600):
+            exact += mpmath.exp(mpmath.mpc(lm[k], ph[k]))
+            mass += mpmath.exp(lm[k])
+            got = mpmath.exp(scale[k + 1]) * mpmath.mpc(mant[k + 1])
+            assert abs(got - exact) <= 1e-12 * mass

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
-from hustab.errors import EmptyPeriod, PastEnd, UnknownExample, ZeroCoefficient
+from hustab.errors import EmptyPeriod, InvalidSpec, PastEnd, UnknownExample, ZeroCoefficient
 from hustab.sequences import coeff_full, spec_from_json, spec_to_json
 
 
@@ -177,3 +177,40 @@ def test_coeff_full_subnormal_phase():
     _, _, log_mag, angle = coeff_full(spec, 1)
     assert log_mag == math.log(2.0)
     assert 0.0 <= angle <= 5e-324
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ([1, 2], "JSON object"),
+    ("periodic", "JSON object"),
+    ({"kind": "periodic"}, "'period'"),
+    ({"kind": "constant"}, "'constant'"),
+    ({"kind": "table", "table": {"a": 1}}, "'table'"),
+    ({"kind": "formula"}, "'formula'"),
+    ({"kind": "formula", "formula": {"params": {}}}, "'name'"),
+    ({"kind": "formula", "formula": {"name": "near_parabolic", "params": [0.1]}}, "params"),
+    ({"kind": "constant", "constant": [2, 0, 5]}, "4 numbers"),
+    ({"kind": "periodic", "period": [[2, 0, 5, 0], [1, 0, "5", 0]]}, "4 numbers"),
+    ({"kind": "constant", "constant": [True, 0, 5, 0]}, "4 numbers"),
+    ({"kind": "constant", "constant": [10**400, 0, 5, 0]}, "float range"),
+    ({"kind": "nope"}, "unknown spec kind"),
+])
+def test_spec_from_json_rejects_malformed_documents(doc, needle):
+    with pytest.raises(InvalidSpec, match=needle):
+        spec_from_json(doc)
+
+
+def test_validate_rejects_non_finite_values_naming_the_entry():
+    with pytest.raises(InvalidSpec, match="constant spec is not finite"):
+        hs.constant_spec(float("nan"), 1.0)
+    with pytest.raises(InvalidSpec, match="constant spec is not finite"):
+        spec_from_json(json.loads('{"kind": "constant", "constant": [1e400, 0, 5, 0]}'))
+    with pytest.raises(InvalidSpec, match="period entry 3 is not finite"):
+        hs.periodic_spec([(2, 5), (0.5, 5), (1, complex(0, math.inf)), (1, math.nan)])
+    with pytest.raises(InvalidSpec, match="table entry 2 is not finite"):
+        hs.table_spec([(2, 5), (math.inf, 5), (0.5, 5)])
+    with pytest.raises(InvalidSpec, match="'alpha'"):
+        hs.builtin_example("near_parabolic", alpha=math.nan)
+    with pytest.raises(ZeroCoefficient, match="period entry 2"):
+        hs.periodic_spec([(2, 5), (0, 5), (0, 5)])
+    # the new checks are ValueErrors too, as the old ones were
+    assert issubclass(InvalidSpec, ValueError)

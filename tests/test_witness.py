@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 import hustab as hs
 from conftest import brute_residuals, coeffs_upto, padded, random_disc
-from hustab.errors import NotUnstable
-from hustab.witness import default_prefixes, reciprocal_sum_converged
+from hustab.errors import IndexOutOfRange, NotUnstable
+from hustab.witness import _Objective, default_prefixes, reciprocal_sum_converged
 
 
 def test_alternating_gets_phase_aligned_equal_to_constant_eps():
@@ -363,3 +363,74 @@ def test_oracle_log_domain_phase_aligned(a, N, factor):
     res = hs.best_shadow_oracle(orbit, spec, led, N)
     assert res.value == pytest.approx(factor * eps, rel=1e-12)
     assert res.log10_value == pytest.approx(math.log10(factor * eps), rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# run_witness builds one objective per root m = argmax L_n and restricts it to
+# each prefix sharing that root; its curve must equal the cold single-prefix
+# oracle at every prefix.
+
+def assert_curve_matches_cold_oracle(spec, led, plan, N, w1=0.2 - 0.3j, prefixes=None):
+    run = hs.run_witness(spec, plan, w1, N, ledger=led, prefixes=prefixes)
+    cold = [hs.best_shadow_oracle(run.orbit, spec, led, int(n)).value for n in run.curve.ns]
+    np.testing.assert_allclose(run.curve.values, np.maximum.accumulate(cold), rtol=1e-12, atol=0.0)
+    return {int(np.argmax(led.logmag[2 : int(n) + 1])) for n in run.curve.ns}  # the roots
+
+
+@pytest.mark.parametrize("name, N, variant, roots", [
+    ("alternating_2_half", 4000, "phase_aligned", 1),
+    ("sparse3_squares", 16000, "scaled_product", 7),
+    # a = 2, forced: L_n spans 3000 log 2, so each prefix needs its own root
+    ("constant", 3000, "phase_aligned", 9),
+])
+def test_run_witness_matches_cold_oracle_on_builtins(name, N, variant, roots):
+    spec = hs.builtin_example(name)
+    led = hs.build_ledger(spec, N)
+    plan = hs.make_witness(spec, led, "geomean_subexponential", 0.7, variant=variant)
+    assert len(assert_curve_matches_cold_oracle(spec, led, plan, N)) == roots
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 6), N=st.integers(40, 1500))
+def test_run_witness_matches_cold_oracle_on_unimodular_cycles(seed, k, N):
+    rng = np.random.default_rng(seed)
+    logs = rng.uniform(-1.0, 1.0, k)
+    a = np.exp(logs - logs.mean() + 2j * np.pi * rng.uniform(0, 1, k))
+    spec = hs.periodic_spec([(x, 1.0) for x in a])
+    led = hs.build_ledger(spec, N)
+    plan = hs.PerturbationPlan(variant="phase_aligned", epsilon=float(rng.uniform(0.1, 1.0)))
+    prefixes = sorted({2, 3, int(rng.integers(2, N + 1))})
+    assert_curve_matches_cold_oracle(spec, led, plan, N, prefixes=prefixes)
+    assert_curve_matches_cold_oracle(spec, led, plan, N)
+
+
+@settings(max_examples=6, deadline=None)
+@given(alpha=st.floats(0.0, 1.0), N=st.integers(200, 2500))
+def test_run_witness_matches_cold_oracle_on_near_parabolic(alpha, N):
+    spec = hs.builtin_example("near_parabolic", alpha=alpha)
+    led = hs.build_ledger(spec, N)
+    plan = hs.make_witness(spec, led, "geomean_subexponential", 0.5)
+    assert_curve_matches_cold_oracle(spec, led, plan, N)
+
+
+def test_run_witness_matches_cold_oracle_with_floors():
+    # A contracting spec, witnessed by force: the centers grow like 2^n and
+    # leave float range past n ~ 1010, so the later prefixes have floors.
+    N = 3000
+    spec = hs.builtin_example("constant", a=0.5, b=5)
+    led = hs.build_ledger(spec, N)
+    plan = hs.PerturbationPlan(variant="phase_aligned", epsilon=1.0)
+    r = hs.realize_plan(plan, led, N)
+    full = _Objective(led, r, N)
+    assert full.log_floor > -math.inf
+    assert full.prefix(500).log_floor == -math.inf
+    prefixes = [2, 500, 1000, 1020, 1100, 2000]
+    assert assert_curve_matches_cold_oracle(spec, led, plan, N, prefixes=prefixes) == {0}
+
+
+def test_run_witness_rejects_prefixes_outside_the_orbit():
+    spec = hs.builtin_example("alternating_2_half")
+    plan = hs.PerturbationPlan(variant="phase_aligned", epsilon=1.0)
+    for bad in ([1, 10], [10, 51]):
+        with pytest.raises(IndexOutOfRange):
+            hs.run_witness(spec, plan, 0.0, 50, prefixes=bad)
