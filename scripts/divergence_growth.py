@@ -35,10 +35,10 @@ def main() -> int:
         verdict = hs.classify(spec)
         ledger = hs.build_ledger(spec, args.horizon)
         plan = hs.make_witness(spec, ledger, verdict.criterion, args.epsilon)
-        run = hs.run_witness(spec, plan, 0.0, args.horizon, ledger=ledger)
+        curve = hs.run_witness(spec, plan, args.horizon, ledger=ledger)
         tag = name if not params else f"{name}_{next(iter(params.values()))}"
-        (args.outdir / f"{tag}.csv").write_text(run.curve.to_csv())
-        from_n, to_n, factor = run.curve.growth_factor()
+        (args.outdir / f"{tag}.csv").write_text(curve.to_csv())
+        from_n, to_n, factor = curve.growth_factor()
         sys.stdout.write(json.dumps({
             "name": name,
             "plan": plan.to_json(),

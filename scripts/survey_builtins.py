@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Classify every builtin example and tabulate verdicts and constants.
 
-Writes one JSON line per spec to stdout (or --out), including the
-tracking constant for the Stable ones. Deterministic.
+Writes one JSON line per spec to stdout (or --out); the verdict carries
+the tracking constant of the Stable ones. Deterministic.
 """
 
 import argparse
@@ -43,9 +43,6 @@ def main() -> int:
             "params": {k: (v if not isinstance(v, complex) else [v.real, v.imag]) for k, v in params.items()},
             "verdict": verdict.to_json(),
         }
-        if verdict.status == "Stable":
-            ledger = hs.build_ledger(spec, cfg.N)
-            row["tracking_constant"] = hs.tracking_constant(spec, ledger, cfg)
         lines.append(json.dumps(row, sort_keys=True))
     text = "\n".join(lines) + "\n"
     if args.out:

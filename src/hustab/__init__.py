@@ -12,7 +12,6 @@ from .classify import (
     classify,
     classify_numeric,
     classify_periodic,
-    tracking_constant,
 )
 from .dynamics import (
     PerturbedOrbit,
@@ -57,7 +56,6 @@ from .witness import (
     DivergenceCurve,
     OracleResult,
     PerturbationPlan,
-    WitnessRun,
     best_shadow_oracle,
     make_witness,
     realize_plan,

@@ -6,6 +6,13 @@ different shadow constructions and tracking constants) while |q| = 1 is
 Unstable because the partial products stay bounded and bounded away from
 zero. Everything else is estimated at a finite horizon from the windowed
 behaviour of the geometric-mean exponent L_n / n and labelled as such.
+
+A Stable verdict's tracking constant c is the exact error envelope of the
+shadow construction it names, so sup_n |w_n - z_n| <= c epsilon for every
+perturbation within budget: the supremum of the tracking sums for the
+equal-start shadow, and sup_m sum_{k>m} |p(m, 1) / p(k, 1)| for the
+reciprocal series. It is computed once, as its natural log, because it
+leaves float range wherever the products swing by more than e^709.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonTooSmall, NotPeriodic, NotStable
+from .errors import HorizonTooSmall, NotPeriodic
 from .products import (
     PartialProductLedger,
     build_ledger,
@@ -38,7 +45,6 @@ CRITERIA = (
     "bounded_products",
     "linear_growth_products",
 )
-CONTRACTING_CRITERIA = frozenset({"periodic_contracting", "geomean_contracting", "bounded_tracking_sum"})
 EXPANDING_CRITERIA = frozenset({"periodic_expanding", "geomean_expanding"})
 UNSTABLE_CRITERIA = frozenset({"geomean_subexponential", "bounded_products", "linear_growth_products"})
 
@@ -50,6 +56,18 @@ UNSTABLE_CRITERIA = frozenset({"geomean_subexponential", "bounded_products", "li
 LOG_PRODUCT_BOUND = 50.0
 GROWTH_SLOPE_MAX = 0.9
 
+# Values at or above e^709 are written to JSON as their log (see log_scaled).
+JSON_LOG_MAX = 709.0
+
+
+def log_scaled(name: str, log_value: float | None) -> dict:
+    """The JSON entry of a value kept as its log: {name: e^log_value} below
+    e^709, {"log_" + name: log_value} at or above it, {name: None} when
+    there is no value. A document never holds Infinity this way."""
+    if log_value is not None and log_value >= JSON_LOG_MAX:
+        return {f"log_{name}": log_value}
+    return {name: None if log_value is None else math.exp(log_value)}
+
 
 @dataclass(frozen=True)
 class HorizonConfig:
@@ -58,13 +76,11 @@ class HorizonConfig:
     N:       horizon (indices materialized and classified over)
     window:  trailing fraction of indices used for liminf/limsup estimates
     band:    half-width around 0 inside which L_n / n counts as vanishing
-    delta:   safety margin in (0, 1) used in the expanding tail bound
     """
 
     N: int = 10_000
     window: float = 0.5
     band: float = 0.02
-    delta: float = 0.1
 
     def __post_init__(self):
         if self.N < 2:
@@ -73,27 +89,25 @@ class HorizonConfig:
             raise ValueError(f"window must lie in (0, 1], got {self.window}")
         if self.band <= 0.0:
             raise ValueError(f"band must be positive, got {self.band}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
 
     def to_json(self) -> dict:
-        return {"N": self.N, "window": self.window, "band": self.band, "delta": self.delta}
+        return {"N": self.N, "window": self.window, "band": self.band}
 
 
 @dataclass(frozen=True)
 class StabilityVerdict:
     """Outcome of a classification.
 
-    Stable verdicts carry a finite tracking constant c with
-    sup_n |w_n - z_n| <= c * epsilon for the matching shadow construction;
-    Unstable verdicts carry the witness-plan variant that realizes the
-    divergence; Undetermined verdicts carry estimates only. Numeric
-    verdicts are finite-horizon and say so.
+    Stable verdicts carry the natural log of their tracking constant c,
+    with sup_n |w_n - z_n| <= c * epsilon for the matching shadow
+    construction; Unstable verdicts carry the witness-plan variant that
+    realizes the divergence; Undetermined verdicts carry estimates only.
+    Numeric verdicts are finite-horizon and say so.
     """
 
     status: str
     criterion: str | None
-    constant: float | None
+    log_constant: float | None
     witness_variant: str | None
     estimates: dict
     finite_horizon: bool
@@ -101,16 +115,28 @@ class StabilityVerdict:
     config: HorizonConfig | None = None
 
     def __post_init__(self):
-        if self.status == STABLE and not (self.constant is not None and math.isfinite(self.constant)):
-            raise ValueError("Stable verdicts need a finite tracking constant")
+        if self.status == STABLE and not (self.log_constant is not None and math.isfinite(self.log_constant)):
+            raise ValueError("Stable verdicts need a finite log tracking constant")
+        if self.status != STABLE and self.log_constant is not None:
+            raise ValueError("only Stable verdicts carry a tracking constant")
         if self.status == UNSTABLE and not self.witness_variant:
             raise ValueError("Unstable verdicts need a witness plan")
+
+    @property
+    def constant(self) -> float | None:
+        """The tracking constant c, inf past float range; None unless Stable."""
+        if self.log_constant is None:
+            return None
+        try:
+            return math.exp(self.log_constant)
+        except OverflowError:
+            return math.inf
 
     def to_json(self) -> dict:
         return {
             "status": self.status,
             "criterion": self.criterion,
-            "constant": self.constant,
+            **log_scaled("constant", self.log_constant),
             "witness_plan": self.witness_variant,
             "estimates": dict(self.estimates),
             "finite_horizon": self.finite_horizon,
@@ -119,64 +145,55 @@ class StabilityVerdict:
         }
 
 
-def _cycle_tracking_sup(mags, Q: float) -> float:
-    """Exact sup of the tracking sums for a periodic magnitude cycle.
+def _cycle_log_sup(log_x: np.ndarray) -> float:
+    """log of max over rotations l of sum_{t=1..p} prod_{j<t} x_{l+j}, for
+    the cycle x_0..x_{p-1} given as log x.
 
-    Within each residue class the sums increase toward A_l / (1 - Q),
-    where A_l collects the p trailing partial products ending at that
-    class; the supremum over n is the largest of those limits.
+    With C_k = log x_0 + ... + log x_{k-1} and s = C_p, the rotation-l sum
+    is e^{-C_l} (sum_{l<k<=p} e^{C_k} + e^s sum_{1<=k<=l} e^{C_k}): two sums
+    of positive terms, accumulated in log space from either end of the
+    cycle, so no rotation is summed twice and nothing cancels.
     """
-    p = len(mags)
-    best = 0.0
-    for l in range(p):
-        acc = 1.0
-        prod = 1.0
-        for t in range(p - 1):
-            prod *= mags[(l - t) % p]
-            acc += prod
-        best = max(best, acc / (1.0 - Q))
-    return best
+    C = np.cumsum(log_x)  # slot k - 1: C_k
+    tail = np.logaddexp.accumulate(C[::-1])[::-1]  # slot l: log sum_{l<k<=p} e^{C_k}
+    head = np.concatenate([[-np.inf], np.logaddexp.accumulate(C[:-1])])  # slot l: log sum_{k<=l} e^{C_k}
+    start = np.concatenate([[0.0], C[:-1]])  # slot l: C_l
+    return float(np.max(np.logaddexp(tail, C[-1] + head) - start))
 
 
 def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -> StabilityVerdict:
     """Exact trichotomy on |q|, q = product of one full cycle of a-values.
 
-    Constant specs classify as period 1. The contracting constant is the
-    exact supremum of the tracking sums; the expanding constant comes from
-    the tail bound 1 / (K^{1-delta} - 1) at K = |q|^{1/p}.
+    Constant specs classify as period 1. Both Stable constants are closed
+    forms over one cycle of the reciprocal magnitudes x_k = 1/|a_k|, with
+    S = max_l sum_{t=1..p} prod_{j<t} x_{l+j} and Q = |q|. Expanding, the
+    series envelope sup_m sum_{k>m} |p(m, 1) / p(k, 1)| is S / (1 - 1/Q).
+    Contracting, the supremum of the tracking sums 1 + |a_n| + |a_n a_{n-1}|
+    + ... is the limit of their largest residue class, Q S / (1 - Q). Both
+    denominators are -expm1(-|log Q|), which stays exact where Q rounds
+    to 1; the sums are carried in log space.
     """
     cfg = cfg or HorizonConfig()
     if spec.kind not in ("constant", "periodic"):
         raise NotPeriodic(f"exact cycle classification needs constant or periodic, got {spec.kind}")
     p = spec.period_length
-    a, _, log_mag, _ = coeff_arrays(spec, np.arange(1, p + 1))
-    mags = [abs(x) for x in a.tolist()]
+    _, _, log_mag, _ = coeff_arrays(spec, np.arange(1, p + 1))
     log_q = math.fsum(log_mag.tolist())
     estimates = {
         "geomean_exponent": log_q / p,
         "log_abs_cycle_product": log_q,
         "period": float(p),
     }
-    if log_q < 0.0:
-        Q = math.exp(log_q)
-        c = _cycle_tracking_sup(mags, Q)
-        estimates["sup_tracking_sum"] = c
+    if log_q == 0.0:
         return StabilityVerdict(
-            status=STABLE, criterion="periodic_contracting", constant=c,
-            witness_variant=None, estimates=estimates, finite_horizon=False,
+            status=UNSTABLE, criterion="bounded_products", log_constant=None,
+            witness_variant="phase_aligned", estimates=estimates, finite_horizon=False,
             horizon=None, config=cfg,
         )
-    if log_q > 0.0:
-        K = math.exp(log_q / p)
-        c = 1.0 / (K ** (1.0 - cfg.delta) - 1.0)
-        return StabilityVerdict(
-            status=STABLE, criterion="periodic_expanding", constant=c,
-            witness_variant=None, estimates=estimates, finite_horizon=False,
-            horizon=None, config=cfg,
-        )
+    log_c = _cycle_log_sup(-log_mag) - math.log(-math.expm1(-abs(log_q))) + min(log_q, 0.0)
     return StabilityVerdict(
-        status=UNSTABLE, criterion="bounded_products", constant=None,
-        witness_variant="phase_aligned", estimates=estimates, finite_horizon=False,
+        status=STABLE, criterion="periodic_contracting" if log_q < 0.0 else "periodic_expanding",
+        log_constant=log_c, witness_variant=None, estimates=estimates, finite_horizon=False,
         horizon=None, config=cfg,
     )
 
@@ -190,7 +207,8 @@ def classify_numeric(
 
     In order: windowed max below -band is Stable (contracting, constant is
     the horizon supremum of the tracking sums); windowed min above +band
-    is Stable (expanding, tail-bound constant); the whole window inside
+    is Stable (expanding, constant is the series envelope over the
+    horizon, log_series_envelope); the whole window inside
     the band is Unstable (subexponential products); bounded products whose
     n-weighted supremum still grows is Unstable (linear growth); anything
     else is Undetermined. All verdicts carry their estimates.
@@ -223,19 +241,18 @@ def classify_numeric(
         # JSON has no infinity: past ~709 only the log estimate is reported
         estimates["sup_tracking_sum"] = sup_track
 
-    def verdict(status, criterion, constant=None, witness=None):
+    def verdict(status, criterion, log_constant=None, witness=None):
         return StabilityVerdict(
-            status=status, criterion=criterion, constant=constant,
+            status=status, criterion=criterion, log_constant=log_constant,
             witness_variant=witness, estimates=estimates, finite_horizon=True,
             horizon=N, config=cfg,
         )
 
     eta = cfg.band
     if gmax < -eta:
-        return verdict(STABLE, "geomean_contracting", constant=sup_track)
+        return verdict(STABLE, "geomean_contracting", log_constant=log_sup_track)
     if gmin > eta:
-        c = 1.0 / (math.exp((1.0 - cfg.delta) * gmin) - 1.0)
-        return verdict(STABLE, "geomean_expanding", constant=c)
+        return verdict(STABLE, "geomean_expanding", log_constant=log_series_envelope(ledger, N))
     if max(abs(gmin), abs(gmax)) <= eta:
         return verdict(UNSTABLE, "geomean_subexponential", witness="phase_aligned")
     if log_sup_p < LOG_PRODUCT_BOUND:
@@ -261,42 +278,19 @@ def classify(
     return classify_numeric(spec, ledger, cfg)
 
 
-def tracking_constant(
-    spec: CoefficientSpec,
-    ledger: PartialProductLedger,
-    cfg: HorizonConfig | None = None,
-) -> float:
-    """Sharpest computable multiplier c with sup_n |w_n - z_n| <= c epsilon.
-
-    Contracting verdicts use the supremum of the tracking sums (exact for
-    cycles, horizon supremum otherwise). Expanding verdicts use the
-    supremum over m of the forward reciprocal tails
-    sum_{k>m} |p(m, 1)| / |p(k, 1)|, the exact error envelope of the
-    series shadow, truncated at the ledger horizon.
-    """
-    cfg = cfg or HorizonConfig()
-    v = classify(spec, cfg, ledger=ledger)
-    if v.status != STABLE:
-        raise NotStable(f"tracking constants exist only for Stable specs, got {v.status}")
-    if v.criterion in CONTRACTING_CRITERIA:
-        if spec.kind in ("constant", "periodic"):
-            return float(v.constant)
-        _, sup_track = tracking_sum_max(ledger, min(cfg.N, ledger.horizon))
-        return float(sup_track)
-    return series_envelope(ledger, min(cfg.N, ledger.horizon))
-
-
-def series_envelope(ledger: PartialProductLedger, N: int) -> float:
-    """sup_{m<=N} sum_{m<k<=N+1} |p(m, 1)| / |p(k, 1)|, by a reverse
+def log_series_envelope(ledger: PartialProductLedger, N: int) -> float:
+    """log sup_{m<=N} sum_{m<k<=N+1} |p(m, 1)| / |p(k, 1)|, by a reverse
     log-sum-exp of the reciprocal products.
 
     The series shadow's error at m is |p(m, 1)| times a tail of
     r_j / p(j+1, 1), so this envelope times epsilon bounds its sup_error
-    for every admissible perturbation. The verdict's 1 / (K^{1-delta} - 1)
-    does not: it can lie below the envelope.
+    for every perturbation within budget, and the phase-aligned one
+    attains it up to the truncation at the horizon. One full-length array
+    is accumulated and shifted in place.
     """
     L = ledger.logmag
-    x = -L[2 : N + 2]
-    racc = np.logaddexp.accumulate(x[::-1])[::-1]  # slot i: tail from k = i + 2
-    log_e = L[1 : N + 1] + racc
-    return float(np.exp(np.max(log_e)))
+    log_e = -L[N + 1 : 1 : -1]  # -L_{N+1}, ..., -L_2
+    np.logaddexp.accumulate(log_e, out=log_e)
+    log_e = log_e[::-1]  # slot i: log sum_{i+2<=k<=N+1} 1 / |p(k, 1)|
+    log_e += L[1 : N + 1]
+    return float(np.max(log_e))

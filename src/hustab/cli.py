@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,14 +24,14 @@ from .classify import (
     UNSTABLE,
     HorizonConfig,
     classify,
-    series_envelope,
+    log_scaled,
 )
 from .errors import InvalidSpec, StabilityToolError, TailNotConvergent
 from .products import build_ledger
 
 
 def _horizon_config(cfg: argparse.Namespace) -> HorizonConfig:
-    return HorizonConfig(N=cfg.horizon, window=cfg.window, band=cfg.band, delta=cfg.delta)
+    return HorizonConfig(N=cfg.horizon, window=cfg.window, band=cfg.band)
 
 
 def _build_spec(cfg: argparse.Namespace) -> sequences.CoefficientSpec:
@@ -105,6 +106,10 @@ def cmd_shadow(cfg: argparse.Namespace) -> int:
     rng = np.random.default_rng(cfg.seed)
     r = _random_perturbations(rng, cfg.epsilon, N)
     orbit = dynamics.perturbed_orbit(spec, cfg.z1, r, cfg.epsilon)
+    # The verdict's constant bounds the construction it names; a forced
+    # fallback to the equal start has no bound.
+    log_eps = math.log(cfg.epsilon) if cfg.epsilon > 0 else -math.inf
+    log_bound = None if verdict.log_constant is None else verdict.log_constant + log_eps
     construction = "equal_start"
     if verdict.criterion in EXPANDING_CRITERIA:
         construction = "reciprocal_series"
@@ -115,11 +120,11 @@ def cmd_shadow(cfg: argparse.Namespace) -> int:
                 sys.stderr.write(f"{exc}\n")
                 return 1
             construction = "equal_start"
+            log_bound = None
             result = dynamics.shadow_contracting(orbit, spec)
     else:
         result = dynamics.shadow_contracting(orbit, spec)
-    constant = series_envelope(ledger, N) if construction == "reciprocal_series" else verdict.constant
-    bound = None if constant is None else constant * cfg.epsilon
+    log_sup_error = float(np.nanmax(result.log10_errors)) * math.log(10.0)  # finite past e^709
     summary = {
         "command": "shadow",
         "status": verdict.status,
@@ -129,8 +134,8 @@ def cmd_shadow(cfg: argparse.Namespace) -> int:
         "horizon": N,
         "seed": cfg.seed,
         "sup_error": result.sup_error,
-        "bound": bound,
-        "bound_satisfied": None if bound is None else bool(result.sup_error <= bound),
+        **log_scaled("bound", log_bound),
+        "bound_satisfied": None if log_bound is None else bool(log_sup_error <= log_bound),
         "tail_estimate": result.tail_estimate,
     }
     _emit(cfg, dynamics.shadow_csv(result, orbit), summary)
@@ -149,8 +154,8 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
         plan = witness.make_witness(spec, ledger, verdict.criterion, cfg.epsilon)
     else:
         plan = witness.PerturbationPlan(variant="phase_aligned", epsilon=cfg.epsilon)
-    run = witness.run_witness(spec, plan, cfg.z1, N, ledger=ledger)
-    from_n, to_n, factor = run.curve.growth_factor()
+    curve = witness.run_witness(spec, plan, N, ledger=ledger)
+    from_n, to_n, factor = curve.growth_factor()
     summary = {
         "command": "witness",
         "status": verdict.status,
@@ -160,9 +165,9 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
         "growth_factor": factor,
         "growth_from_n": from_n,
         "growth_to_n": to_n,
-        "final_divergence": float(run.curve.values[-1]),
+        "final_divergence": float(curve.values[-1]),
     }
-    _emit(cfg, run.curve.to_csv(), summary)
+    _emit(cfg, curve.to_csv(), summary)
     return 0
 
 
@@ -204,7 +209,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="output path for the CSV/JSON artifact")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--delta", type=float, default=0.1)
     p.add_argument("--band", type=float, default=0.02)
     p.add_argument("--window", type=float, default=0.5)
     p.add_argument("--z1", type=complex, default=0.0 + 0.0j, help="initial value")

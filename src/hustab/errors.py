@@ -51,9 +51,5 @@ class HorizonTooSmall(StabilityToolError):
     """Ledger horizon is shorter than the configured classification horizon."""
 
 
-class NotStable(StabilityToolError):
-    """Tracking constants exist only for Stable verdicts."""
-
-
 class NotUnstable(StabilityToolError):
     """Witness plans exist only for Unstable criteria."""

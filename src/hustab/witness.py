@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classify import UNSTABLE_CRITERIA
-from .dynamics import PerturbedOrbit, _series_term_logs, perturbed_orbit
+from .classify import UNSTABLE_CRITERIA, log_scaled
+from .dynamics import PerturbedOrbit, _series_term_logs
 from .errors import IndexOutOfRange, NotUnstable
 from .products import (
     PartialProductLedger,
@@ -51,7 +51,8 @@ class PerturbationPlan:
     log_M is the log of the product supremum M = sup_n |p(n, 1)| over the
     horizon; it and C in (0, 1] are meaningful for the scaled_product
     variant only. to_json reports M in linear scale while it stays below
-    e^709, and log_M beyond, so the document remains strict JSON.
+    e^709, and log_M beyond (classify.log_scaled), so the document remains
+    strict JSON.
     """
 
     variant: str
@@ -60,12 +61,7 @@ class PerturbationPlan:
     log_M: float | None = None
 
     def to_json(self) -> dict:
-        doc = {"variant": self.variant, "epsilon": self.epsilon, "C": self.C}
-        if self.log_M is not None and self.log_M >= 709.0:
-            doc["log_M"] = self.log_M
-        else:
-            doc["M"] = None if self.log_M is None else math.exp(self.log_M)
-        return doc
+        return {"variant": self.variant, "epsilon": self.epsilon, "C": self.C, **log_scaled("M", self.log_M)}
 
 
 @dataclass(frozen=True)
@@ -104,12 +100,6 @@ class DivergenceCurve:
         with np.errstate(divide="ignore"):
             logs = np.log10(self.values)
         return _csv_text("n,d_n,log10_d_n", self.ns.astype(int), self.values, logs)
-
-
-@dataclass(frozen=True)
-class WitnessRun:
-    orbit: PerturbedOrbit
-    curve: DivergenceCurve
 
 
 def reciprocal_sum_converged(ledger: PartialProductLedger, horizon: int | None = None) -> bool:
@@ -516,30 +506,30 @@ def default_prefixes(N: int) -> list[int]:
 def run_witness(
     spec: CoefficientSpec,
     plan: PerturbationPlan,
-    w1: complex,
     N: int,
     ledger: PartialProductLedger | None = None,
     prefixes: list[int] | None = None,
-) -> WitnessRun:
-    """Materialize the perturbed orbit and its divergence curve.
+) -> DivergenceCurve:
+    """The divergence curve of the plan's perturbations r_1..r_{N-1}.
 
     The curve reports the best-shadow oracle restricted to prefixes of the
-    orbit, on a geometric grid of prefix lengths; it is nondecreasing in n
-    because longer prefixes only add constraints to the min-max.
+    perturbed orbit, on a geometric grid of prefix lengths; it is
+    nondecreasing in n because longer prefixes only add constraints to the
+    min-max. The oracle reads only r and the ledger, so neither the orbit
+    nor its start is materialized.
     """
     if N < 2:
         raise IndexOutOfRange(f"need N >= 2, got {N}")
     if ledger is None or ledger.horizon + 1 < N:
         ledger = build_ledger(spec, N)
     r = realize_plan(plan, ledger, N)
-    orbit = perturbed_orbit(spec, w1, r, plan.epsilon)
     ns = sorted(set(prefixes) | {N}) if prefixes else default_prefixes(N)
     if ns[0] < 2 or ns[-1] > N:
         raise IndexOutOfRange(f"prefixes must lie in [2, {N}], got {ns}")
     with np.errstate(over="ignore"):
         values = np.exp(_prefix_log_values(ledger, r, ns))
     values = np.maximum.accumulate(values)
-    return WitnessRun(orbit=orbit, curve=DivergenceCurve(ns=np.asarray(ns), values=values))
+    return DivergenceCurve(ns=np.asarray(ns), values=values)
 
 
 def _prefix_log_values(ledger: PartialProductLedger, r: np.ndarray, ns: list[int]) -> list[float]:

@@ -3,17 +3,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
 from hustab.classify import (
+    EXPANDING_CRITERIA,
     STABLE,
     UNDETERMINED,
     UNSTABLE,
     HorizonConfig,
 )
-from hustab.errors import HorizonTooSmall, NotPeriodic, NotStable
+from hustab.errors import HorizonTooSmall, NotPeriodic
 
 
 def test_period3_stable_with_constant_below_16():
@@ -36,9 +37,9 @@ def test_sparse3_periodic_expanding():
         v = hs.classify_periodic(hs.builtin_example("sparse3_periodic", p=p))
         assert v.status == STABLE
         assert v.criterion == "periodic_expanding"
-        # cycle product is 3, so K = 3^{1/p} and c = 1/(K^{0.9} - 1)
-        K = 3.0 ** (1.0 / p)
-        assert v.constant == pytest.approx(1.0 / (K**0.9 - 1.0), rel=1e-12)
+        # reciprocals 1, ..., 1, 1/3: the series envelope starts after the 3,
+        # (p - 1 + 1/3) / (1 - 1/3) = 1.5 p - 1
+        assert v.constant == pytest.approx(1.5 * p - 1.0, rel=1e-12)
 
 
 def test_constant_trichotomy():
@@ -76,15 +77,15 @@ def test_numeric_sparse3_squares_subexponential():
 
 
 def test_numeric_constant_expanding_constant_value():
-    # table copy of constant 2 forces the numeric path; windowed minimum of
-    # L_n/n approaches log 2, so the constant approaches 1/(2^{0.9} - 1)
+    # table copy of constant 2 forces the numeric path; the series envelope
+    # sum_{k>m} 2^{m-k} up to the horizon is 1 - 2^{-N}
     spec = hs.table_spec([(2.0, 5.0)], tail="repeat")
     cfg = HorizonConfig(N=10_000)
     led = hs.build_ledger(spec, cfg.N)
     v = hs.classify_numeric(spec, led, cfg)
     assert v.status == STABLE
     assert v.criterion == "geomean_expanding"
-    assert v.constant == pytest.approx(1.0 / (2.0**0.9 - 1.0), rel=1e-3)
+    assert v.constant == pytest.approx(1.0, rel=1e-12)
     assert v.finite_horizon and v.horizon == 10_000
 
 
@@ -222,25 +223,29 @@ def test_horizon_too_small():
 
 def test_tracking_constant_values():
     cfg = HorizonConfig(N=2000)
-    led_half = hs.build_ledger(hs.builtin_example("constant", a=0.5, b=5), cfg.N)
-    assert hs.tracking_constant(hs.builtin_example("constant", a=0.5, b=5), led_half, cfg) == pytest.approx(2.0, rel=1e-12)
-
-    led3 = hs.build_ledger(hs.builtin_example("constant", a=3, b=5), cfg.N)
+    assert hs.classify(hs.builtin_example("constant", a=0.5, b=5), cfg).constant == pytest.approx(2.0, rel=1e-12)
     # forward-tail oracle: sum_{j>=1} 3^{-j} = 1/2
-    assert hs.tracking_constant(hs.builtin_example("constant", a=3, b=5), led3, cfg) == pytest.approx(0.5, rel=1e-9)
-
-    spec3 = hs.builtin_example("period3_2_i_third")
-    ledp = hs.build_ledger(spec3, cfg.N)
-    c = hs.tracking_constant(spec3, ledp, cfg)
+    assert hs.classify(hs.builtin_example("constant", a=3, b=5), cfg).constant == pytest.approx(0.5, rel=1e-12)
+    c = hs.classify(hs.builtin_example("period3_2_i_third"), cfg).constant
     assert c < 16.0
-    assert c == pytest.approx(12.0, rel=1e-9)
+    assert c == pytest.approx(12.0, rel=1e-12)
+    # the same sequences through the numeric path, as tables
+    for a, expect in ((0.5, 2.0), (3.0, 0.5)):
+        v = hs.classify(hs.table_spec([(a, 5.0)], tail="repeat"), cfg)
+        assert v.constant == pytest.approx(expect, rel=1e-12)
+        assert v.log_constant == pytest.approx(math.log(expect), abs=1e-12)
 
 
 def test_tracking_constant_requires_stable():
-    spec = hs.builtin_example("alternating_2_half")
-    led = hs.build_ledger(spec, 100)
-    with pytest.raises(NotStable):
-        hs.tracking_constant(spec, led, HorizonConfig(N=100))
+    v = hs.classify(hs.builtin_example("alternating_2_half"), HorizonConfig(N=100))
+    assert v.status == UNSTABLE
+    assert v.constant is None and v.log_constant is None
+    fields = dict(criterion=None, witness_variant="phase_aligned", estimates={}, finite_horizon=False, horizon=None)
+    with pytest.raises(ValueError):
+        hs.StabilityVerdict(status=UNSTABLE, log_constant=0.0, **fields)
+    for bad in (None, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            hs.StabilityVerdict(status=STABLE, log_constant=bad, **fields)
 
 
 def test_verdict_json_schema():
@@ -250,7 +255,7 @@ def test_verdict_json_schema():
         "status", "criterion", "constant", "witness_plan", "estimates",
         "finite_horizon", "horizon", "config",
     }
-    assert doc["config"] == {"N": 10_000, "window": 0.5, "band": 0.02, "delta": 0.1}
+    assert doc["config"] == {"N": 10_000, "window": 0.5, "band": 0.02}
     assert doc["status"] == "Unstable"
 
     v2 = hs.classify(hs.builtin_example("constant", a=0.5, b=0))
@@ -266,5 +271,70 @@ def test_config_validation():
         HorizonConfig(window=0.0)
     with pytest.raises(ValueError):
         HorizonConfig(band=-0.1)
-    with pytest.raises(ValueError):
-        HorizonConfig(delta=1.0)
+
+
+# Each Stable constant is the exact error envelope of the shadow its verdict
+# names. A table of 60 entries a = 0.5, then a = 3 repeating, has the series
+# envelope sum_{k=2}^{61} 2^{k-1} + 2^60 sum_{j>=1} 3^{-j} at m = 1, whatever
+# the horizon past the run.
+_RUN_TABLE = hs.table_spec([(0.5, 1.0)] * 60 + [(3.0, 1.0)], tail="repeat")
+
+
+@pytest.mark.parametrize("spec, N, expect", [
+    (hs.builtin_example("sparse3_periodic", p=3), 200, 3.5),
+    (hs.periodic_spec([(0.5, 1.0), (8.0, 1.0)]), 200, 3.0),
+    (hs.builtin_example("constant", a=2, b=5), 200, 1.0),
+    (_RUN_TABLE, 200, 2.0**61 + 2.0**59 - 2.0),
+    (_RUN_TABLE, 2000, 2.0**61 + 2.0**59 - 2.0),
+])
+def test_stable_constants_are_exact_envelopes(spec, N, expect):
+    v = hs.classify(spec, HorizonConfig(N=N))
+    assert v.status == STABLE
+    assert v.constant == pytest.approx(expect, rel=1e-12)
+
+
+def _phase_aligned_shadow(spec, N, eps):
+    """The verdict, and the log of the sup error its own shadow construction
+    makes against r_j = eps p(j+1, 1) / |p(j+1, 1)|."""
+    led = hs.build_ledger(spec, N)
+    v = hs.classify(spec, HorizonConfig(N=N), ledger=led)
+    if v.status != STABLE:
+        return v, None
+    r = hs.realize_plan(hs.PerturbationPlan(variant="phase_aligned", epsilon=eps), led, N)
+    orbit = hs.perturbed_orbit(spec, 0.3 - 0.1j, r, eps)
+    if v.criterion in EXPANDING_CRITERIA:
+        res = hs.shadow_expanding(orbit, spec, led, tail_tol=math.inf)
+    else:
+        res = hs.shadow_contracting(orbit, spec)
+    return v, float(np.nanmax(res.log10_errors)) * math.log(10.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["cycle", "table"]),
+       sign=st.sampled_from([-1.0, 1.0]), N=st.integers(400, 2000))
+def test_phase_aligned_adversary_meets_the_constant(seed, kind, sign, N):
+    # The constant bounds what the phase-aligned adversary makes its shadow
+    # do, and on a cycle it is attained once the geometric tail past the
+    # horizon, exp(-|log q| (N / p - 2)), has died out.
+    rng = np.random.default_rng(seed)
+    eps = 0.01
+    if kind == "cycle":
+        p = int(rng.integers(1, 6))
+        logs = rng.uniform(-0.5, 0.5, p)
+        log_q = sign * rng.uniform(0.2, 1.0)
+        logs += (log_q - logs.sum()) / p
+        tail = math.exp(-abs(log_q) * (N / p - 2))
+    else:
+        n = int(rng.integers(10, N // 2))
+        logs = rng.uniform(-1.0, 1.0, n) + sign * rng.uniform(0.05, 0.5)
+        logs[-1] = sign * rng.uniform(0.05, 0.5)  # the repeated tail keeps the drift's sign
+        tail = math.inf
+    a = np.exp(logs + 2j * np.pi * rng.uniform(0, 1, len(logs)))
+    pairs = list(zip(a, rng.uniform(-1, 1, len(logs))))
+    spec = hs.periodic_spec(pairs) if kind == "cycle" else hs.table_spec(pairs, tail="repeat")
+    v, log_sup = _phase_aligned_shadow(spec, N, eps)
+    assume(v.status == STABLE)
+    log_bound = v.log_constant + math.log(eps)
+    assert log_sup <= log_bound + math.log1p(1e-9)
+    if tail < 1e-12:
+        assert log_sup >= log_bound + math.log1p(-1e-9)

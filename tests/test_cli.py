@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,35 @@ def test_classify_stdout_is_strict_json_past_overflow(tmp_path, capsys):
     assert est["log_sup_tracking_sum"] > 709.0
 
 
+@pytest.mark.parametrize("period", [
+    [[1.0000000000000002, 0, 1, 0], [1, 0, 1, 0]],  # expanding, K rounds to 1
+    [[1.0000000000000002, 0, 1, 0], [0.9999999999999998, 0, 1, 0]],  # log q = -7.4e-32, Q rounds to 1
+])
+def test_classify_near_unit_cycle_has_finite_constant(tmp_path, capsys, period):
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps({"kind": "periodic", "period": period}))
+    code, out, _ = run(capsys, "classify", "--spec", str(path))
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["status"] == "Stable"
+    assert math.isfinite(doc["constant"]) and doc["constant"] > 1e15
+
+
+@pytest.mark.parametrize("head, tail, log_c", [
+    (0.5, 2.0, 1100 * math.log(2.0) + math.log(3.0)),  # series envelope at m = 1
+    (2.0, 0.5, 1100 * math.log(2.0)),  # tracking sum at the end of the run
+])
+def test_classify_constant_past_float_range_is_its_log(tmp_path, capsys, head, tail, log_c):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"kind": "table", "table": [[head, 0, 1, 0]] * 1100 + [[tail, 0, 1, 0]],
+                                "tail": "repeat"}))
+    code, out, _ = run(capsys, "classify", "--spec", str(path))
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["status"] == "Stable" and "constant" not in doc
+    assert doc["log_constant"] == pytest.approx(log_c, rel=1e-12)
+
+
 def test_classify_invalid_spec_is_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"kind": "periodic", "period": [[0, 0, 1, 0]]}))
@@ -120,8 +150,8 @@ def test_shadow_expanding_construction(capsys):
 
 
 def test_shadow_expanding_bound_is_series_envelope(tmp_path, capsys):
-    # The verdict's 1/(K^(1-delta) - 1) lies below what the series shadow
-    # attains on both specs; the bound is the envelope sup_m sum_k |p(m,1)/p(k,1)|.
+    # The verdict's constant is the series shadow's envelope
+    # sup_m sum_k |p(m,1)/p(k,1)|, and the shadow's bound is that constant.
     table = tmp_path / "table.json"
     table.write_text(json.dumps({"kind": "table", "table": [[0.5, 0, 1, 0]] * 60 + [[3, 0, 1, 0]],
                                  "tail": "repeat"}))
@@ -129,7 +159,7 @@ def test_shadow_expanding_bound_is_series_envelope(tmp_path, capsys):
     cycle.write_text(json.dumps({"kind": "periodic", "period": [[0.5, 0, 1, 0], [8, 0, 1, 0]]}))
     for path, envelope in ((table, 2.0**61 + 2.0**59 - 2.0), (cycle, 3.0)):
         _, verdict, _ = run(capsys, "classify", "--spec", str(path), "--horizon", "2000")
-        assert json.loads(verdict)["constant"] < envelope
+        assert json.loads(verdict)["constant"] == pytest.approx(envelope, rel=1e-12)
         for seed in range(3):
             code, out, _ = run(capsys, "shadow", "--spec", str(path), "--horizon", "2000",
                                "--epsilon", "0.01", "--seed", str(seed), "--out", str(tmp_path / "z.csv"))

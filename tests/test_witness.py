@@ -190,14 +190,14 @@ def test_run_witness_curve_monotone_and_csv():
     spec = hs.builtin_example("alternating_2_half")
     led = hs.build_ledger(spec, 512)
     plan = hs.make_witness(spec, led, "bounded_products", 0.5)
-    run = hs.run_witness(spec, plan, 0.3, 512, ledger=led)
-    vals = run.curve.values
+    curve = hs.run_witness(spec, plan, 512, ledger=led)
+    vals = curve.values
     assert np.all(np.diff(vals) >= 0)
-    assert run.curve.ns[-1] == 512
-    from_n, to_n, factor = run.curve.growth_factor()
+    assert curve.ns[-1] == 512
+    from_n, to_n, factor = curve.growth_factor()
     assert (from_n, to_n) == (128, 512)
     assert factor >= 3.0
-    text = run.curve.to_csv()
+    text = curve.to_csv()
     assert text.startswith("n,d_n,log10_d_n\n")
     assert "np.float64" not in text
 
@@ -371,10 +371,11 @@ def test_oracle_log_domain_phase_aligned(a, N, factor):
 # oracle at every prefix.
 
 def assert_curve_matches_cold_oracle(spec, led, plan, N, w1=0.2 - 0.3j, prefixes=None):
-    run = hs.run_witness(spec, plan, w1, N, ledger=led, prefixes=prefixes)
-    cold = [hs.best_shadow_oracle(run.orbit, spec, led, int(n)).value for n in run.curve.ns]
-    np.testing.assert_allclose(run.curve.values, np.maximum.accumulate(cold), rtol=1e-12, atol=0.0)
-    return {int(np.argmax(led.logmag[2 : int(n) + 1])) for n in run.curve.ns}  # the roots
+    curve = hs.run_witness(spec, plan, N, ledger=led, prefixes=prefixes)
+    orbit = hs.perturbed_orbit(spec, w1, hs.realize_plan(plan, led, N), plan.epsilon)
+    cold = [hs.best_shadow_oracle(orbit, spec, led, int(n)).value for n in curve.ns]
+    np.testing.assert_allclose(curve.values, np.maximum.accumulate(cold), rtol=1e-12, atol=0.0)
+    return {int(np.argmax(led.logmag[2 : int(n) + 1])) for n in curve.ns}  # the roots
 
 
 @pytest.mark.parametrize("name, N, variant, roots", [
@@ -433,4 +434,4 @@ def test_run_witness_rejects_prefixes_outside_the_orbit():
     plan = hs.PerturbationPlan(variant="phase_aligned", epsilon=1.0)
     for bad in ([1, 10], [10, 51]):
         with pytest.raises(IndexOutOfRange):
-            hs.run_witness(spec, plan, 0.0, 50, prefixes=bad)
+            hs.run_witness(spec, plan, 50, prefixes=bad)
