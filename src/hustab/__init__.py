@@ -34,7 +34,6 @@ from .products import (
     build_ledger,
     geometric_mean_exponent,
     partial_product,
-    reciprocal_product_sum,
     subexponential_ratio,
     tracking_sum,
     tracking_sum_max,

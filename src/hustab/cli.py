@@ -121,9 +121,9 @@ def cmd_shadow(cfg: argparse.Namespace) -> int:
                 return 1
             construction = "equal_start"
             log_bound = None
-            result = dynamics.shadow_contracting(orbit, spec)
+            result = dynamics.shadow_contracting(orbit, spec, ledger)
     else:
-        result = dynamics.shadow_contracting(orbit, spec)
+        result = dynamics.shadow_contracting(orbit, spec, ledger)
     log_sup_error = float(np.nanmax(result.log10_errors)) * math.log(10.0)  # finite past e^709
     summary = {
         "command": "shadow",
@@ -133,7 +133,7 @@ def cmd_shadow(cfg: argparse.Namespace) -> int:
         "epsilon": cfg.epsilon,
         "horizon": N,
         "seed": cfg.seed,
-        "sup_error": result.sup_error,
+        **log_scaled("sup_error", log_sup_error),
         **log_scaled("bound", log_bound),
         "bound_satisfied": None if log_bound is None else bool(log_sup_error <= log_bound),
         "tail_estimate": result.tail_estimate,

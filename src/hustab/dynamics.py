@@ -9,11 +9,13 @@ solution z of z_{n+1} = a_n z_n + b_n,
 
 Shadow constructions pick z_1 so the right-hand side stays small: equal
 initial values when the tracking sums are bounded (contracting regimes),
-or w_1 plus the reciprocal-product series when the products expand.
-Error curves are evaluated through the identity rather than by
-subtracting materialized orbits: on expanding sequences the subtraction
-cancels catastrophically and the rounding of z_1 alone grows like
-|p(n, 1)| ulp.
+or w_1 plus the reciprocal-product series when the products expand. Both
+are one kernel, _shadow: with d = w_1 - z_1 the error is
+p(n, 1) (d + S_{n-1}), S the prefix sums of r_j / p(j+1, 1), formed in log
+form from scaled sums rather than by subtracting materialized orbits: on
+expanding sequences the subtraction cancels catastrophically and the
+rounding of z_1 alone grows like |p(n, 1)| ulp. Each returned trajectory
+is checked against its curve.
 """
 
 from __future__ import annotations
@@ -210,55 +212,88 @@ def residual_ledger(orbit: PerturbedOrbit, spec: CoefficientSpec, check: bool = 
     w_{n+1} = (exact orbit from w_1)_{n+1} + R_n (see _check_identity).
     """
     N = len(orbit)
-    a, _, _, _ = coeff_arrays(spec, np.arange(1, N))
+    a, _, log_a, _ = coeff_arrays(spec, np.arange(1, N))
     values = _recur(0j, a, None, orbit.perturbations[1:])[1:]  # slot n holds R_n
     if check:
-        _check_identity(orbit, iterate(spec, orbit.w1, N), values)
+        L = np.concatenate(([np.nan, 0.0], np.cumsum(log_a)))  # slot n holds L_n
+        _check_identity(orbit, iterate(spec, orbit.w1, N), values, L)
     return ResidualLedger(values=values)
 
 
-def _check_identity(orbit: PerturbedOrbit, exact: Trajectory, R: np.ndarray) -> None:
+def _check_identity(orbit: PerturbedOrbit, exact: Trajectory, R: np.ndarray, L: np.ndarray) -> None:
     """Raise ArithmeticError unless w_n - z_n = R_{n-1} for n = 2..N, with z
-    the exact orbit from w_1, wherever both sides are float-representable.
+    the orbit `exact`, wherever both sides are float-representable.
 
-    The two orbits' rounding is relative to the largest value they have
-    passed through, and persists while the products stay bounded (an orbit
-    of a = i, b = 2^21 i returns near 0 every fourth step carrying it), so
-    the tolerance is 1e-9 (1 + max_{k<=n} |w_k|).
+    R slot n - 1 holds the predicted w_n - z_n: the residual R_{n-1} when z
+    starts at w_1, a shadow's signed error curve otherwise; L slot n holds
+    L_n. Rounding committed at index m, relative to s_m = max(|w_m|, |z_m|),
+    persists while the products stay bounded (an orbit of a = i,
+    b = 2^21 i returns near 0 every fourth step carrying it) and is carried
+    to index n times |p(n, m)|, which an orbit near the bounded solution of
+    an expanding map does not show in its own size. So the tolerance is
+    1e-9 (1 + max_{m<=n} s_m max(1, |p(n, m)|)).
     """
     N = len(orbit)
     w = orbit.values[2:]
-    gap = (w - exact.values[2:]) - R[1:N]
-    tol = 1e-9 * (1.0 + np.fmax.accumulate(np.abs(w)))
+    with np.errstate(invalid="ignore"):  # inf - inf where both orbits overflow
+        gap = (w - exact.values[2:]) - R[1:N]
+    size = np.fmax(np.abs(orbit.values[1:]), np.abs(exact.values[1 : N + 1]))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        carried = np.exp(L[1 : N + 1] + np.maximum.accumulate(np.log(size) - L[1 : N + 1]))
+    tol = 1e-9 * (1.0 + np.fmax(np.fmax.accumulate(size), carried)[1:])
     ok = np.isfinite(gap) & np.isfinite(tol)
     if np.any(np.abs(gap[ok]) > tol[ok]):
         raise ArithmeticError("residual identity w_n = z_n + R_{n-1} failed tolerance")
 
 
-def shadow_contracting(orbit: PerturbedOrbit, spec: CoefficientSpec) -> ShadowResult:
-    """Shadow with equal initial value: z = exact orbit from w_1.
+def _shadow(orbit: PerturbedOrbit, spec: CoefficientSpec, ledger: PartialProductLedger, series_start: bool,
+            tail_estimate: float | None = None) -> ShadowResult:
+    """The shadow z from z_1 = w_1 - d, with the error curve of the identity
+    w_n - z_n = p(n, 1) (d + S_{n-1}), S_m = sum_{j<=m} c_j, c_j = r_j / p(j+1, 1).
 
-    Then |w_n - z_n| = |R_{n-1}| identically; the construction is always
-    definable and its boundedness is what the contracting criteria
-    guarantee. The error curve is |R_{n-1}|, from the residual recursion:
-    subtracting the two orbits would cancel, with rounding that scales with
-    the orbits' size. The returned trajectory is checked against it with
-    _check_identity.
+    d + S_{n-1} is carried as a scaled sum, slot n - 1 for index n, so the
+    curve is kept in log form wherever L_n goes. The equal start has d = 0:
+    prefix sums of the terms. The series start has d = -S_{N-1}, so
+    d + S_{n-1} = -sum_{j=n}^{N-1} c_j: prefix sums of the reversed terms,
+    each tail formed from its own leading terms. Either way slot 0 is d.
+    The trajectory is checked against the curve with _check_identity.
     """
     N = len(orbit)
-    traj = iterate(spec, orbit.w1, N)
-    R = residual_ledger(orbit, spec, check=False).values
-    _check_identity(orbit, traj, R)
-    errors = np.empty(N + 1)
-    errors[:2] = np.nan, 0.0  # padding; z_1 = w_1
-    err = errors[2:]
-    err[:] = np.abs(R[1:N])  # |R_{n-1}| in slot n
-    err[~np.isfinite(err)] = np.inf
-
+    if ledger.horizon + 1 < N:
+        raise IndexOutOfRange(f"ledger horizon {ledger.horizon} too small for orbit length {N}")
+    log_mag, phase = _series_term_logs(ledger, orbit.perturbations, N)
+    if series_start:
+        scale, mant = scaled_cumsum(log_mag[::-1], phase[::-1])
+        scale, mant = scale[::-1], -mant[::-1]
+    else:
+        scale, mant = scaled_cumsum(log_mag, phase)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z1 = orbit.w1 - complex(np.exp(scale[0]) * mant[0])
+    if not np.isfinite(z1):
+        log_d = scale[0] + math.log(abs(mant[0]))
+        raise TailNotConvergent(f"shadow start out of float range: log|z_1 - w_1| = {log_d:.6g}")
+    traj = iterate(spec, z1, N)
+    log_err = np.empty(N + 1)
+    log_err[0] = np.nan
     with np.errstate(divide="ignore"):
-        log10_errors = np.log10(errors)
-    sup = float(np.max(errors[1:]))
-    return ShadowResult(trajectory=traj, errors=errors, log10_errors=log10_errors, sup_error=sup)
+        log_err[1:] = ledger.logmag[1 : N + 1] + scale + np.log(np.abs(mant))
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = np.exp(log_err)
+        signed = np.exp(log_err[1:] + 1j * (ledger.phase[1 : N + 1] + np.angle(mant)))
+    _check_identity(orbit, traj, signed, ledger.logmag)  # signed slot n - 1 holds w_n - z_n
+    return ShadowResult(trajectory=traj, errors=errors, log10_errors=log_err / _LN10,
+                        sup_error=float(np.max(errors[1:])), tail_estimate=tail_estimate)
+
+
+def shadow_contracting(orbit: PerturbedOrbit, spec: CoefficientSpec,
+                       ledger: PartialProductLedger) -> ShadowResult:
+    """Shadow with equal initial value: z = exact orbit from w_1.
+
+    Then |w_n - z_n| = |p(n, 1) S_{n-1}| = |R_{n-1}| identically; the
+    construction is always definable and its boundedness is what the
+    contracting criteria guarantee.
+    """
+    return _shadow(orbit, spec, ledger, series_start=False)
 
 
 def shadow_expanding(
@@ -271,15 +306,12 @@ def shadow_expanding(
 
     Requires the reciprocal-product terms to be summable at this horizon:
     the tail beyond N, extrapolated geometrically at the rate given by the
-    geometric-mean exponent, must fall below tail_tol. The error curve is
-    |w_n - z_n| = |p(n, 1)| |sum_{j=n}^{N-1} r_j / p(j+1, 1)|, accumulated
-    backwards so each tail is formed from its own leading terms; the
-    truncated series makes the shadow exact at the horizon, and the
-    dropped part is documented via tail_estimate.
+    geometric-mean exponent, must fall below tail_tol, and the series itself
+    must be in float range; TailNotConvergent otherwise. The error curve
+    |w_n - z_n| = |p(n, 1)| |sum_{j=n}^{N-1} r_j / p(j+1, 1)| vanishes at the
+    horizon; the dropped part is documented via tail_estimate.
     """
     N = len(orbit)
-    if ledger.horizon + 1 < N:
-        raise IndexOutOfRange(f"ledger horizon {ledger.horizon} too small for orbit length {N}")
     g = geometric_mean_exponent(ledger, N)
     if g <= 0:
         raise TailNotConvergent(f"geometric-mean exponent {g:.3g} <= 0 at horizon {N}")
@@ -289,33 +321,7 @@ def shadow_expanding(
         raise TailNotConvergent(
             f"tail estimate {tail_estimate:.3g} at horizon {N} exceeds tolerance {tail_tol:.3g}"
         )
-
-    log_mag, phase = _series_term_logs(ledger, orbit.perturbations, N)
-    with np.errstate(under="ignore"):
-        c = np.exp(log_mag + 1j * phase)
-    series = complex(math.fsum(c.real), math.fsum(c.imag))
-    z1 = orbit.w1 + series
-    traj = iterate(spec, z1, N)
-
-    # Reverse tails RT_n = sum_{j=n}^{N-1} c_j, in scaled form.
-    r_scale, r_mant = scaled_cumsum(log_mag[::-1], phase[::-1])
-    tail_scale = r_scale[::-1]  # slot i = scale of RT_{i+1} ... RT_N
-    tail_mant = r_mant[::-1]
-    L = ledger.logmag
-    log_err = np.empty(N + 1)
-    log_err[0] = np.nan
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_err[1:] = L[1 : N + 1] + tail_scale + np.log(np.abs(tail_mant))
-    with np.errstate(over="ignore"):
-        errors = np.exp(log_err)
-    sup = float(np.max(errors[1:]))
-    return ShadowResult(
-        trajectory=traj,
-        errors=errors,
-        log10_errors=log_err / _LN10,
-        sup_error=sup,
-        tail_estimate=tail_estimate,
-    )
+    return _shadow(orbit, spec, ledger, series_start=True, tail_estimate=tail_estimate)
 
 
 def second_order_reduce(

@@ -181,18 +181,6 @@ def tracking_sum_max(ledger: PartialProductLedger, upto: int, *, log: bool = Fal
         return i + 1, float(np.exp(log_t[i]))
 
 
-def reciprocal_product_sum(ledger: PartialProductLedger, n: int) -> float:
-    """sum_{j=1}^{n-1} 1 / |p(j, 1)|, compensated.
-
-    Diverges for bounded products and converges when |p(j, 1)| grows
-    geometrically; both behaviours matter to the classifier.
-    """
-    _check_index(ledger, n, 1, ledger.horizon + 2, "n")
-    with np.errstate(over="ignore"):
-        terms = np.exp(-ledger.logmag[1:n])
-    return math.fsum(terms)
-
-
 def subexponential_ratio(t, n: int) -> float:
     """t_n / sum_{j=1}^{n-1} t_j for a positive sequence t (t[0] = t_1).
 

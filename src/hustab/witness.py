@@ -28,7 +28,6 @@ from .products import (
     PartialProductLedger,
     _csv_text,
     build_ledger,
-    reciprocal_product_sum,
     scaled_cumsum,
 )
 from .sequences import CoefficientSpec
@@ -102,12 +101,14 @@ class DivergenceCurve:
         return _csv_text("n,d_n,log10_d_n", self.ns.astype(int), self.values, logs)
 
 
-def reciprocal_sum_converged(ledger: PartialProductLedger, horizon: int | None = None) -> bool:
-    """True when the reciprocal-product sum has numerically saturated."""
-    h = min(horizon or ledger.horizon, ledger.horizon)
-    full = reciprocal_product_sum(ledger, h + 1)
-    half = reciprocal_product_sum(ledger, max(2, h // 2))
-    return (full - half) <= RECIP_CONVERGED_FRACTION * full
+def reciprocal_sum_converged(ledger: PartialProductLedger) -> bool:
+    """True when the reciprocal-product sum sum_{j=1}^{h} 1 / |p(j, 1)| over
+    the ledger's horizon h has numerically saturated: all but
+    RECIP_CONVERGED_FRACTION of it arrives before j = h / 2. One running
+    log-sum-exp gives both sums, so the terms may leave float range."""
+    h = ledger.horizon
+    running = np.logaddexp.accumulate(-ledger.logmag[1 : h + 1])  # slot j - 1: sum up to j
+    return bool(running[max(2, h // 2) - 2] >= running[-1] + math.log1p(-RECIP_CONVERGED_FRACTION))
 
 
 def make_witness(

@@ -5,6 +5,8 @@ summation, direct recursion) so they stay independent of the log-domain
 paths they check.
 """
 
+import math
+
 import numpy as np
 
 import hustab as hs
@@ -45,6 +47,17 @@ def brute_partial_product(a, m, k):
     for j in range(k, m):
         out *= a[j]
     return out
+
+
+def brute_reciprocal_sum(a, n):
+    """sum_{j=1}^{n-1} 1 / |p(j, 1)|: products by repeated multiplication,
+    summed by math.fsum; a is 1-based padded, of length at least n."""
+    terms = []
+    prod = 1.0 + 0.0j
+    for j in range(1, n):
+        terms.append(1.0 / abs(prod))  # prod is p(j, 1)
+        prod *= a[j]
+    return math.fsum(terms)
 
 
 def brute_tracking_sum(a, n):

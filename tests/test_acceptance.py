@@ -92,9 +92,9 @@ def test_criterion_3_period3_worked_bound():
     # one draw cross-checked through the library shadow construction
     r = padded(1e-2 * random_disc(rng, N - 1))
     orbit = hs.perturbed_orbit(spec, 0.5 - 0.5j, r, 1e-2)
-    res = hs.shadow_contracting(orbit, spec)
-    ok = ok and res.sup_error <= 16 * 1e-2 and res.trajectory.z1 == orbit.w1
     led = hs.build_ledger(spec, N)
+    res = hs.shadow_contracting(orbit, spec, led)
+    ok = ok and res.sup_error <= 16 * 1e-2 and res.trajectory.z1 == orbit.w1
     _, sup_track = hs.tracking_sum_max(led, N)
     ok = ok and sup_track < 16.0
     elapsed = time.time() - t0

@@ -305,7 +305,7 @@ def _phase_aligned_shadow(spec, N, eps):
     if v.criterion in EXPANDING_CRITERIA:
         res = hs.shadow_expanding(orbit, spec, led, tail_tol=math.inf)
     else:
-        res = hs.shadow_contracting(orbit, spec)
+        res = hs.shadow_contracting(orbit, spec, led)
     return v, float(np.nanmax(res.log10_errors)) * math.log(10.0)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,51 @@ def test_shadow_refuses_unstable_without_force(capsys):
                          "--horizon", "200", "--force")
     assert code2 == 0
     assert json.loads(out2)["bound"] is None
+
+
+def _run_table(path, head, tail):
+    """1100 entries a = head, then a = tail repeating, b = 1."""
+    path.write_text(json.dumps({"kind": "table", "table": [[head, 0, 1, 0]] * 1100 + [[tail, 0, 1, 0]],
+                                "tail": "repeat"}))
+    return str(path)
+
+
+def test_shadow_error_curve_past_float_range(tmp_path, capsys):
+    # 1100 x a = 2, then 1/2: the equal start's error climbs past e^709 and
+    # falls back into float range. Summed in scaled form, it is reported as
+    # log_sup_error, the bound holds, and the curve's last row is finite.
+    spec = _run_table(tmp_path / "run.json", 2.0, 0.5)
+    curve = tmp_path / "z.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, _ = run(capsys, "shadow", "--spec", spec, "--out", str(curve))
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["construction"] == "equal_start" and doc["bound_satisfied"] is True
+    assert "sup_error" not in doc and doc["log_sup_error"] <= doc["log_bound"]
+    last = curve.read_text().strip().split("\n")[-1].split(",")
+    assert math.isfinite(float(last[5])) and float(last[5]) > 0.0
+
+
+def test_shadow_refuses_series_start_past_float_range(tmp_path, capsys):
+    # 1100 x a = 1/2, then 2: the series start z_1 - w_1 ~ eps 2^1100 is not
+    # a float, so the command refuses in one line
+    spec = _run_table(tmp_path / "run.json", 0.5, 2.0)
+    code, out, err = run(capsys, "shadow", "--spec", spec)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "log|z_1 - w_1|" in err
+
+
+def test_witness_reciprocal_sum_past_float_range(tmp_path, capsys):
+    # a_n = exp(-1.5 / sqrt(n)): L_n ~ -3 sqrt(n) reaches about -846 at the
+    # horizon, so the reciprocal products 1 / |p(j, 1)| leave float range
+    n = np.arange(1, 80_001)
+    path = tmp_path / "sqrt.json"
+    path.write_text(json.dumps({"kind": "table", "table": [[a, 0, 1, 0] for a in np.exp(-1.5 / np.sqrt(n)).tolist()]}))
+    code, out, _ = run(capsys, "witness", "--spec", str(path), "--horizon", "80000")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["status"] == "Unstable" and doc["plan"]["variant"] == "phase_aligned"
 
 
 def test_witness_refuses_stable_without_force(capsys):

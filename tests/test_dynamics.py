@@ -165,8 +165,8 @@ def test_shadow_contracting_geometric_bound():
     eps = 1e-2
     spec = hs.builtin_example("constant", a=0.5, b=3)
     orbit = hs.perturbed_orbit(spec, 2.0, padded(np.full(499, eps)), eps)
-    res = hs.shadow_contracting(orbit, spec)
-    assert res.sup_error <= 2 * eps
+    res = hs.shadow_contracting(orbit, spec, hs.build_ledger(spec, 500))
+    assert res.sup_error <= 2 * eps * (1 + 1e-9)
     assert res.sup_error == pytest.approx(2 * eps, rel=1e-3)
     # error curve literally equals |R_{n-1}|
     rr = brute_residuals(coeffs_upto(spec, 500)[0], padded(np.full(499, eps)), 499)
@@ -176,10 +176,11 @@ def test_shadow_contracting_geometric_bound():
 def test_shadow_contracting_period3_stays_under_16eps():
     rng = np.random.default_rng(9)
     spec = hs.builtin_example("period3_2_i_third")
+    led = hs.build_ledger(spec, 1000)
     for eps in (1e-3, 1e-1):
         r = padded(eps * random_disc(rng, 999))
         orbit = hs.perturbed_orbit(spec, complex(random_disc(rng, 1, 4)[0]), r, eps)
-        res = hs.shadow_contracting(orbit, spec)
+        res = hs.shadow_contracting(orbit, spec, led)
         assert res.trajectory.z1 == orbit.w1
         assert res.sup_error <= 16 * eps
 
@@ -187,7 +188,7 @@ def test_shadow_contracting_period3_stays_under_16eps():
 def test_shadow_contracting_zero_perturbation_is_exact():
     spec = hs.builtin_example("alternating_2_half")
     orbit = hs.perturbed_orbit(spec, 1 + 1j, padded(np.zeros(99)), 0.0)
-    res = hs.shadow_contracting(orbit, spec)
+    res = hs.shadow_contracting(orbit, spec, hs.build_ledger(spec, 100))
     assert res.sup_error == 0.0
     assert np.all(res.trajectory.values[1:] == orbit.values[1:])
 
@@ -200,14 +201,15 @@ def test_shadow_contracting_orbit_through_large_values():
     spec = hs.constant_spec(1j, 2.0**21 * 1j)
     r = padded(0.01 * random_disc(rng, 63))
     orbit = hs.perturbed_orbit(spec, 0.0, r, 0.01)
-    res = hs.shadow_contracting(orbit, spec)
+    led = hs.build_ledger(spec, 64)
+    res = hs.shadow_contracting(orbit, spec, led)
     rr = brute_residuals(coeffs_upto(spec, 64)[0], r, 63)
     assert np.allclose(res.errors[2:], np.abs(rr[1:64]), rtol=1e-12, atol=0.0)
     hs.residual_ledger(orbit, spec, check=True)
     # a trajectory off by a relative 1e-6 still fails the identity
     off = hs.Trajectory(spec=spec, values=res.trajectory.values * (1.0 + 1e-6))
     with pytest.raises(ArithmeticError):
-        _check_identity(orbit, off, hs.residual_ledger(orbit, spec, check=False).values)
+        _check_identity(orbit, off, hs.residual_ledger(orbit, spec, check=False).values, led.logmag)
 
 
 def test_shadow_expanding_constant2_bound():
@@ -227,7 +229,8 @@ def test_shadow_expanding_constant2_bound():
     assert res.errors[N] == 0.0
 
 
-def test_shadow_expanding_trajectory_matches_errors():
+@pytest.mark.parametrize("construction", ["reciprocal_series", "equal_start"])
+def test_shadow_expanding_trajectory_matches_errors(construction):
     # the returned orbit is the shadow the error curve describes: at a
     # horizon where w and z stay in range, subtracting them reproduces it
     eps = 0.01
@@ -236,11 +239,29 @@ def test_shadow_expanding_trajectory_matches_errors():
     led = hs.build_ledger(spec, N)
     r = padded(eps * random_disc(np.random.default_rng(0), N - 1))
     orbit = hs.perturbed_orbit(spec, 0.0, r, eps)
-    res = hs.shadow_expanding(orbit, spec, led)
+    if construction == "reciprocal_series":
+        res = hs.shadow_expanding(orbit, spec, led)
+        assert res.sup_error <= eps
+    else:
+        res = hs.shadow_contracting(orbit, spec, led)
+        assert res.trajectory.z1 == orbit.w1
     w = orbit.values[1:]
     got = np.abs(w - res.trajectory.values[1:])
     assert np.all(np.abs(got - res.errors[1:]) <= 1e-9 * (1.0 + np.abs(w)))
-    assert res.sup_error <= eps
+
+
+def test_shadow_expanding_near_the_bounded_solution():
+    # w_1 = -0.3 is the fixed point of a = 2, b = 0.3 and eps is tiny, so w
+    # and z stay near it while the rounding of every step is doubled at each
+    # later one: the identity check allows rounding carried by |p(n, m)|,
+    # which the orbits' own size does not show
+    eps = 1e-12
+    N = 1000
+    spec = hs.builtin_example("constant", a=2, b=0.3)
+    led = hs.build_ledger(spec, N)
+    r = padded(eps * random_disc(np.random.default_rng(2), N - 1))
+    res = hs.shadow_expanding(hs.perturbed_orbit(spec, -0.3, r, eps), spec, led)
+    assert res.sup_error <= eps * (1 + 1e-9)
 
 
 def test_shadow_expanding_zero_perturbation():
@@ -353,7 +374,7 @@ def test_alternating_three_step_relations_as_printed():
 def test_csv_dumps():
     spec = hs.builtin_example("constant", a=0.5, b=1)
     orbit = hs.perturbed_orbit(spec, 1.0, padded(np.full(9, 0.01)), 0.01)
-    res = hs.shadow_contracting(orbit, spec)
+    res = hs.shadow_contracting(orbit, spec, hs.build_ledger(spec, 10))
     text = hs.dynamics.shadow_csv(res, orbit)
     lines = text.strip().split("\n")
     assert lines[0] == "n,re_z,im_z,re_w,im_w,abs_err,log10_abs_err"

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
-from conftest import brute_partial_product, brute_tracking_sum, coeffs_upto, random_table_spec
+from conftest import brute_partial_product, brute_reciprocal_sum, brute_tracking_sum, coeffs_upto, random_table_spec
 from hustab.errors import BadK, IndexOutOfRange, NonPositiveTerm, ZeroCoefficient
 from hustab.products import scaled_cumsum, wrap_phase
 from hustab.sequences import coeff_full
+from hustab.witness import RECIP_CONVERGED_FRACTION, reciprocal_sum_converged
 
 
 def test_alternating_product_magnitudes():
@@ -139,25 +140,31 @@ def test_tracking_sum_period3_sup_below_16():
 
 
 def test_reciprocal_product_sum_cases():
-    led2 = hs.build_ledger(hs.builtin_example("constant", a=2, b=0), 300)
-    geometric_limit = 2.0  # sum of 2^{-j}, j >= 0
-    s = hs.reciprocal_product_sum(led2, 300)
-    assert s <= geometric_limit * (1 + 1e-15)
+    # sum_{j<n} 1 / |p(j, 1)| by direct products: the geometric limit 2 for
+    # a = 2, n - 1 for a = 1, and 3/4 per index for alternating_2_half, whose
+    # terms alternate 1 and 1/2. The witness's convergence test, which sums
+    # in log space, decides as the direct sums do.
+    const2 = hs.builtin_example("constant", a=2, b=0)
+    const1 = hs.builtin_example("constant", a=1, b=0)
+    alt = hs.builtin_example("alternating_2_half")
+    a2, _ = coeffs_upto(const2, 300)
+    s = brute_reciprocal_sum(a2, 300)
+    assert s <= 2.0 * (1 + 1e-15)
     assert s == pytest.approx(math.fsum(0.5**j for j in range(299)), rel=1e-12)
-    assert hs.reciprocal_product_sum(led2, 40) < geometric_limit
-
-    led1 = hs.build_ledger(hs.builtin_example("constant", a=1, b=0), 300)
+    assert brute_reciprocal_sum(a2, 40) < 2.0
+    a1, _ = coeffs_upto(const1, 300)
     for n in (2, 10, 300):
-        assert hs.reciprocal_product_sum(led1, n) == float(n - 1)
-
-    leda = hs.build_ledger(hs.builtin_example("alternating_2_half"), 2001)
-    # terms alternate 1 and 1/2, so the partial sums grow 3/4 per index pair
-    a, _ = coeffs_upto(hs.builtin_example("alternating_2_half"), 2001)
-    direct = math.fsum(1.0 / abs(brute_partial_product(a, j, 1)) for j in range(1, 101))
-    assert hs.reciprocal_product_sum(leda, 101) == pytest.approx(direct, rel=1e-12)
-    s1 = hs.reciprocal_product_sum(leda, 1001)
-    s2 = hs.reciprocal_product_sum(leda, 2001)
+        assert brute_reciprocal_sum(a1, n) == float(n - 1)
+    aa, _ = coeffs_upto(alt, 2001)
+    s1 = brute_reciprocal_sum(aa, 1001)
+    s2 = brute_reciprocal_sum(aa, 2001)
     assert (s2 - s1) / 1000 == pytest.approx(0.75, rel=1e-9)
+
+    for spec, h, converged in ((const2, 299, True), (const1, 299, False), (alt, 2000, False), (alt, 1, True)):
+        a, _ = coeffs_upto(spec, h + 1)
+        full, half = brute_reciprocal_sum(a, h + 1), brute_reciprocal_sum(a, max(2, h // 2))
+        assert (full - half <= RECIP_CONVERGED_FRACTION * full) is converged
+        assert reciprocal_sum_converged(hs.build_ledger(spec, h)) is converged
 
 
 def test_subexponential_ratio_reference_sequences():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
-from conftest import brute_residuals, coeffs_upto, padded, random_disc
+from conftest import brute_reciprocal_sum, brute_residuals, coeffs_upto, padded, random_disc
 from hustab.errors import IndexOutOfRange, NotUnstable
 from hustab.witness import _Objective, default_prefixes, reciprocal_sum_converged
 
@@ -54,6 +54,14 @@ def test_divergent_reciprocal_sum_keeps_phase_alignment():
     spec = hs.builtin_example("near_parabolic", alpha=0.0)
     led = hs.build_ledger(spec, 4000)
     assert not reciprocal_sum_converged(led)
+
+
+def test_reciprocal_sum_converged_past_float_range():
+    # 1 / |p(j, 1)| climbs to 2^1100 before a = 2 takes over, and to 2^2999
+    # under a = 1/2: the sums stay in log space, where linear sums overflow
+    run = hs.table_spec([(0.5, 0.0)] * 1100 + [(2.0, 0.0)], tail="repeat")
+    assert reciprocal_sum_converged(hs.build_ledger(run, 10_000))
+    assert not reciprocal_sum_converged(hs.build_ledger(hs.builtin_example("constant", a=0.5, b=0), 3000))
 
 
 def test_make_witness_rejects_stable_criteria():
@@ -142,7 +150,7 @@ def test_oracle_dominates_shadow_constructions():
     spec_c = hs.builtin_example("period3_2_i_third")
     led_c = hs.build_ledger(spec_c, 400)
     orbit_c = hs.perturbed_orbit(spec_c, 1 - 1j, padded(eps * random_disc(rng, 399)), eps)
-    shadow_c = hs.shadow_contracting(orbit_c, spec_c)
+    shadow_c = hs.shadow_contracting(orbit_c, spec_c, led_c)
     oracle_c = hs.best_shadow_oracle(orbit_c, spec_c, led_c, 400)
     assert oracle_c.value <= shadow_c.sup_error * (1 + 1e-12)
     # expanding side
@@ -169,21 +177,24 @@ def test_oracle_growth_factor_alternating():
 
 def test_phase_aligned_error_identity():
     # with z_1 = w_1 the aligned plan stacks every term on one ray:
-    # |w_{n+1} - z_{n+1}| = |p(n+1,1)| eps (recip(n+1) - 1) + eps exactly
+    # |w_{n+1} - z_{n+1}| = |p(n+1,1)| eps (recip(n+1) - 1) + eps exactly,
+    # with recip(n) = sum_{j<n} 1 / |p(j, 1)| formed by direct products
     eps = 0.1
     N = 400
     spec = hs.builtin_example("near_parabolic", alpha=1 / 3)
     led = hs.build_ledger(spec, N)
+    a, _ = coeffs_upto(spec, N)
     r = hs.realize_plan(hs.PerturbationPlan(variant="phase_aligned", epsilon=eps), led, N)
     orbit = hs.perturbed_orbit(spec, 1 + 2j, r, eps)
     traj = hs.iterate(spec, orbit.w1, N)
     for n in range(1, N - 1):
         got = abs(orbit.values[n + 1] - traj.values[n + 1])
         p_mag = math.exp(led.logmag[n + 1])
-        expect = p_mag * eps * (hs.reciprocal_product_sum(led, n + 1) - 1.0) + eps
+        recip = brute_reciprocal_sum(a, n + 1)
+        expect = p_mag * eps * (recip - 1.0) + eps
         assert abs(got - expect) <= 1e-9 * (1 + expect)
         # consequence used by the divergence argument
-        assert got >= p_mag * eps * (hs.reciprocal_product_sum(led, n + 1) - 1.0) - eps
+        assert got >= p_mag * eps * (recip - 1.0) - eps
 
 
 def test_run_witness_curve_monotone_and_csv():
