@@ -87,8 +87,8 @@ class HorizonConfig:
             raise ValueError(f"horizon must be >= 2, got {self.N}")
         if not 0.0 < self.window <= 1.0:
             raise ValueError(f"window must lie in (0, 1], got {self.window}")
-        if self.band <= 0.0:
-            raise ValueError(f"band must be positive, got {self.band}")
+        if not 0.0 < self.band < math.inf:
+            raise ValueError(f"band must be positive and finite, got {self.band}")
 
     def to_json(self) -> dict:
         return {"N": self.N, "window": self.window, "band": self.band}

@@ -9,6 +9,8 @@ outputs.
 from __future__ import annotations
 
 import argparse
+import cmath
+import functools
 import json
 import math
 import sys
@@ -193,8 +195,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """One parser for every command: they all take the same flags."""
+    """One parser for every command: they all take the same flags. Built
+    on first use and kept: parse_args fills a new namespace per call."""
     p = argparse.ArgumentParser(prog="hustab", description=__doc__)
     p.add_argument("command", choices=tuple(_COMMANDS))
     p.add_argument("--builtin", help="builtin example name")
@@ -216,9 +220,19 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_finite(cfg: argparse.Namespace) -> None:
+    """Refuse a NaN or infinite value of any float or complex flag. argparse
+    parses "nan" and "inf" as numbers, and the commands would compute from
+    them."""
+    for name, value in vars(cfg).items():
+        if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+            raise ValueError(f"--{name.replace('_', '-')} must be a finite number, got {value}")
+
+
 def main(argv=None) -> int:
     cfg = _parser().parse_args(argv)
     try:
+        _check_finite(cfg)
         return _COMMANDS[cfg.command](cfg)
     except (StabilityToolError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -14,6 +14,7 @@ holds the subscript-k quantity; slot 0 is padding.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -215,7 +216,7 @@ def balance_ratio(t, K: float, n: int) -> float:
     return math.exp(weighted[n - 1] - _logsumexp(weighted[: n - 1]))
 
 
-def scaled_cumsum(log_mag: np.ndarray, phase: np.ndarray):
+def scaled_cumsum(log_mag: np.ndarray, phase: np.ndarray, cuts=()):
     """Prefix sums of the complex terms exp(log_mag_j + i phase_j), scaled.
 
     Returns (scale, mantissa) arrays of length len(terms) + 1 with
@@ -232,8 +233,14 @@ def scaled_cumsum(log_mag: np.ndarray, phase: np.ndarray):
     terms below e^-745 would sum to zero. NaN terms count as -inf in the
     running maximum, so they never count as a rise; they still make every
     later prefix NaN.
+
+    A block also ends before each term index in cuts. A prefix past a cut
+    is then its block's own sum plus the carry, rounded once, so prefixes
+    past the same cut differ by their own terms' rounding alone, not by
+    that of every sum before the cut.
     """
     m = len(log_mag)
+    cuts = sorted(cuts)
     scale = np.empty(m + 1)
     mant = np.empty(m + 1, dtype=complex)
     scale[0] = 0.0
@@ -246,6 +253,9 @@ def scaled_cumsum(log_mag: np.ndarray, phase: np.ndarray):
         # run is nondecreasing, so the block's end is one binary search; with
         # run[start] = -inf it is the first nonzero term.
         end = int(np.searchsorted(run, run[start] + 700.0, side="right"))
+        i = bisect.bisect_right(cuts, start)
+        if i < len(cuts):
+            end = min(end, cuts[i])
         top = float(run[end - 1])
         sigma = top if top > -math.inf else 0.0  # only zero or NaN terms so far
         with np.errstate(under="ignore", invalid="ignore"):

@@ -15,7 +15,6 @@ the accumulated residuals.
 from __future__ import annotations
 
 import copy
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +44,8 @@ RECIP_CONVERGED_FRACTION = 0.01
 
 @dataclass(frozen=True)
 class PerturbationPlan:
-    """Recipe for the perturbations r_n; realized values satisfy |r_n| <= epsilon.
+    """Recipe for the perturbations r_n; realized values satisfy |r_n| <= epsilon,
+    which must be positive and finite.
 
     log_M is the log of the product supremum M = sup_n |p(n, 1)| over the
     horizon; it and C in (0, 1] are meaningful for the scaled_product
@@ -58,6 +58,10 @@ class PerturbationPlan:
     epsilon: float
     C: float | None = None
     log_M: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon}")
 
     def to_json(self) -> dict:
         return {"variant": self.variant, "epsilon": self.epsilon, "C": self.C, **log_scaled("M", self.log_M)}
@@ -131,8 +135,6 @@ def make_witness(
     """
     if criterion not in UNSTABLE_CRITERIA:
         raise NotUnstable(f"{criterion!r} is not an instability criterion")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if variant is not None:
         if variant not in PLAN_VARIANTS:
             raise ValueError(f"unknown plan variant {variant!r}")
@@ -199,6 +201,12 @@ _LOG_CENTER_MAX = 700.0
 _LOG_TOL = 1e-12
 # Safety cap on active-set iterations; two to five suffice in practice.
 _MAX_ITERATIONS = 64
+# Deepest dip of L below a prefix's root across which the prefix may share an
+# objective rooted further right (see _shares). A dip of depth D makes the
+# tail every center of the prefix carries e^D times the prefix's own scale,
+# so each center is rounded to e^D ulp (2^-52) of it. D is kept where that
+# stays a tenth of the _LOG_TOL accuracy: e^D 2^-52 <= 1e-13, D ~ 6.1.
+_DIP_MAX = math.log(0.1 * _LOG_TOL / 2.0**-52)
 
 
 def _exceeds(v: float, ref: float) -> bool:
@@ -231,19 +239,25 @@ class _Objective:
     the scaled sums clear of underflow. Constraints whose x_n is not
     representable are floors; log_floor is the largest of their values.
 
-    The constraints and m depend on N only through which n they cover, so
-    every prefix 2..n with the same root m (n >= m) is a restriction of
-    this objective: see prefix.
+    The constraints depend on N only through which n they cover, and the
+    change of unknown leaves every constraint's value as it is, so the
+    objective of any prefix 2..n is a restriction of this one (see prefix),
+    whether or not the prefix's own root is m. Only the centers' rounding
+    and range depend on m; _shares says when they match a fresh build's.
     """
 
-    def __init__(self, ledger: PartialProductLedger, r: np.ndarray, N: int):
+    def __init__(self, ledger: PartialProductLedger, r: np.ndarray, N: int, cuts=()):
         log_t, phase = _series_term_logs(ledger, r, N)  # slot j - 1 holds t_j
         L = np.asarray(ledger.logmag[2 : N + 1])  # n = 2..N
-        m = int(np.argmax(L)) + 2
+        m = self.root = int(np.argmax(L)) + 2
         self.log_wm = float(L[m - 2])
         log_u = log_t + self.log_wm
         f_scale, f_mant = scaled_cumsum(log_u[m - 1 :], phase[m - 1 :])  # slot k: u_m..u_{m+k-1}
-        b_scale, b_mant = scaled_cumsum(log_u[m - 2 :: -1], phase[m - 2 :: -1])  # slot k: u_{m-1}..u_{m-k}
+        # slot k: u_{m-1}..u_{m-k}. The reverse tails restart at each prefix
+        # length n < m in cuts, so the centers of prefix n carry the tail
+        # beyond it as one rounded sum.
+        b_cuts = [m - n for n in cuts if 2 <= n < m]
+        b_scale, b_mant = scaled_cumsum(log_u[m - 2 :: -1], phase[m - 2 :: -1], b_cuts)
         scale = np.concatenate([b_scale[m - 2 : 0 : -1], f_scale])
         mant = np.concatenate([b_mant[m - 2 : 0 : -1], -f_mant])
         log_w = L - self.log_wm
@@ -261,11 +275,12 @@ class _Objective:
         self.c_m = complex(_linear(b_scale[m - 1 : m] - self.log_wm, -b_mant[m - 1 : m])[0])
 
     def prefix(self, n: int) -> _Objective:
-        """The objective of the prefix 2..n, for root <= n <= N.
+        """The objective of the prefix 2..n, for 2 <= n <= N.
 
         Its root is this one's, and its constraints are this one's first
         n - 1; the representable ones among them come first in log_w and x,
-        so they are views.
+        so they are views, and an index into them means the same constraint
+        in every prefix.
         """
         sub = copy.copy(self)
         k = int(self._kept_upto[n - 2])
@@ -425,20 +440,31 @@ def _small_center(obj: _Objective, basis: list[int], k: int):
     return best or fallback
 
 
-def _one_center(obj: _Objective) -> tuple[complex, float]:
-    """(y, log max) at the weighted 1-center of the representable constraints.
+# Start of an active-set solve: (y, basis, basis value) with nothing solved.
+_COLD = (0.0 + 0.0j, (), -math.inf)
+
+
+def _one_center(obj: _Objective, start=_COLD) -> tuple[complex, float, tuple]:
+    """(y, log max, end state) at the weighted 1-center of the representable
+    constraints.
 
     Active-set iteration (Elzinga & Hearn 1972, weighted as in Hearn &
-    Vijay 1982), started from y = 0: solve the basis of at most three
-    constraints exactly, add the worst violator of the full set, and repeat
-    until no constraint exceeds the basis value beyond rounding. The basis
-    value is a lower bound on the optimum and the returned log max an
-    attained upper bound; at exit they agree, which certifies optimality.
-    Where rounding flattens a constraint, the basis value can stop rising;
-    the latest point whose max is within rounding of the smallest max seen
-    is kept.
+    Vijay 1982) from start = (y, basis, basis value): solve the basis of at
+    most three constraints exactly, add the worst violator of the full set,
+    and repeat until no constraint exceeds the basis value beyond rounding.
+    The basis value is a lower bound on the optimum and the returned log
+    max an attained upper bound; at exit they agree, which certifies
+    optimality. Where rounding flattens a constraint, the basis value can
+    stop rising; the latest point whose max is within rounding of the
+    smallest max seen is kept.
+
+    The cold start is y = 0 with an empty basis. The end state of a solve
+    of any subset of these constraints, with its basis indexed as here, is
+    also a valid start: its basis value is the optimum of a subset, hence
+    still a lower bound, and y is that basis's center.
     """
-    y, log_v, basis = 0.0 + 0.0j, -math.inf, []
+    y, basis, log_v = start
+    basis = list(basis)
     vals = obj.log_values(y)
     best_y, best_max = y, float(np.max(vals))
     lowest = best_max
@@ -453,14 +479,14 @@ def _one_center(obj: _Objective) -> tuple[complex, float]:
         lowest = min(lowest, top)
         if not _exceeds(top, lowest):
             best_y, best_max = y, top
-    return best_y, best_max
+    return best_y, best_max, (y, tuple(basis), log_v)
 
 
-def _solve(obj: _Objective) -> tuple[complex, float]:
-    """(y, log value) of the best shadow: the 1-center of the representable
-    constraints, with the value raised to the largest floor."""
-    y, log_v = _one_center(obj)
-    return y, max(log_v, obj.log_floor)
+def _solve(obj: _Objective, start=_COLD) -> tuple[complex, float, tuple]:
+    """(y, log value, end state) of the best shadow: the 1-center of the
+    representable constraints, with the value raised to the largest floor."""
+    y, log_v, state = _one_center(obj, start)
+    return y, max(log_v, obj.log_floor), state
 
 
 def best_shadow_oracle(
@@ -486,7 +512,7 @@ def best_shadow_oracle(
     if ledger.horizon + 1 < N:
         raise IndexOutOfRange(f"ledger horizon {ledger.horizon} too small for N={N}")
     obj = _Objective(ledger, orbit.perturbations, N)
-    y, log_v = _solve(obj)
+    y, log_v, _ = _solve(obj)
     d = obj.d_at(y)
     with np.errstate(over="ignore"):
         value = float(np.exp(log_v))
@@ -536,15 +562,47 @@ def run_witness(
 def _prefix_log_values(ledger: PartialProductLedger, r: np.ndarray, ns: list[int]) -> list[float]:
     """log of the best-shadow value of each prefix 2..n, n in the sorted ns.
 
-    The root m = argmax L_n of a prefix can only move right as n grows, so
-    prefixes sharing a root are consecutive in ns; each such run solves
-    restrictions of one objective, built at its largest prefix.
+    Prefixes are grouped from the largest down: each group solves
+    restrictions of one objective, built at its largest prefix, as long as
+    the smaller prefixes share it (_shares). Within a group the prefixes
+    are solved in increasing order, each warm-started from the end state of
+    the one before, whose constraints are a subset of its own.
     """
     L = ledger.logmag
-    roots = [int(np.argmax(L[2 : n + 1])) for n in ns]
+    groups = []  # (objective, prefixes), largest prefixes first
+    for n in reversed(ns):
+        if not groups or not _shares(groups[-1][0], L, n):
+            groups.append((_Objective(ledger, r, n, cuts=ns), []))
+        groups[-1][1].append(n)
     logs = []
-    for _, group in itertools.groupby(zip(roots, ns), key=lambda pair: pair[0]):
-        group = [n for _, n in group]
-        obj = _Objective(ledger, r, group[-1])
-        logs += [_solve(obj.prefix(n))[1] for n in group]
+    for obj, group in reversed(groups):
+        state = _COLD
+        for n in reversed(group):
+            _, log_v, state = _solve(obj.prefix(n), state)
+            logs.append(log_v)
     return logs
+
+
+def _shares(obj: _Objective, L: np.ndarray, n: int) -> bool:
+    """Whether the prefix 2..n, n <= the objective's N, may be solved on obj.
+
+    With the prefix's own root m = argmax L_2..L_n equal to obj's, its
+    restriction is a fresh build's objective, summed outward from the same
+    root. Otherwise obj's root lies beyond n, higher up, and the prefix's
+    centers are the fresh ones scaled by e^{L_root - L_m} and shifted by
+    the sum of the terms u_j between m and the root. The prefix shares obj
+    when two things hold:
+
+    - every center of the prefix is representable in obj: a floor assumes
+      y near 0, but the prefix's optimum lies near its own root's center;
+    - L stays above L_m - _DIP_MAX from m to the root. A dip of depth D
+      there makes those terms e^D times the prefix's own, and every center
+      carries their sum, rounded to e^D ulps of the prefix's scale: a dip
+      of 575 (250 steps of a = 0.1 before 250 of a = 10) leaves no digit
+      of the prefix's value.
+    """
+    m = int(np.argmax(L[2 : n + 1])) + 2
+    if m == obj.root:
+        return True
+    representable = obj.prefix(n).log_floor == -math.inf
+    return representable and float(np.min(L[m : obj.root + 1])) >= L[m] - _DIP_MAX

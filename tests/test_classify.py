@@ -269,8 +269,9 @@ def test_config_validation():
         HorizonConfig(N=1)
     with pytest.raises(ValueError):
         HorizonConfig(window=0.0)
-    with pytest.raises(ValueError):
-        HorizonConfig(band=-0.1)
+    for band in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            HorizonConfig(band=band)
 
 
 # Each Stable constant is the exact error envelope of the shadow its verdict

@@ -295,6 +295,38 @@ def test_bad_command_line_exits_2(capsys):
     assert "--tail-tol" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--epsilon", ["witness", "--builtin", "alternating_2_half", "--epsilon", "nan"]),
+    ("--epsilon", ["witness", "--builtin", "alternating_2_half", "--epsilon", "inf"]),
+    ("--epsilon", ["shadow", "--builtin", "period3_2_i_third", "--epsilon", "nan"]),
+    ("--band", ["classify", "--builtin", "period3_2_i_third", "--band", "nan"]),
+    ("--tail-tol", ["shadow", "--builtin", "constant", "--tail-tol", "nan"]),
+    ("--z1", ["simulate", "--builtin", "constant", "--z1", "nan"]),
+    ("--z1", ["shadow", "--builtin", "period3_2_i_third", "--z1", "nan"]),
+    ("--z1", ["shadow", "--builtin", "constant", "--z1", "nan"]),
+])
+def test_non_finite_flag_is_one_line_error(capsys, flag, argv):
+    # argparse reads "nan" and "inf" as numbers; main refuses them before
+    # any command computes from them.
+    code, out, err = run(capsys, *argv, "--horizon", "200")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} must be a finite number") and err.count("\n") == 1
+
+
+def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
+    # The parser is built once per process; each call still starts from the
+    # defaults, so no flag of one call reaches the next.
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(hs.spec_to_json(hs.builtin_example("constant"))))
+    out_path = tmp_path / "first.csv"
+    code, _, _ = run(capsys, "witness", "--spec", str(spec), "--force", "--out", str(out_path), "--horizon", "200")
+    assert code == 0 and out_path.exists()
+    code, out, _ = run(capsys, "simulate", "--builtin", "constant", "--horizon", "3", "--format", "csv")
+    assert code == 0 and out.startswith("n,re_z,im_z\n")  # no --spec, no --out
+    code, out, err = run(capsys, "witness", "--builtin", "period3_2_i_third", "--horizon", "200")
+    assert (code, out) == (1, "") and "pass --force" in err  # no --force
+
+
 @pytest.mark.parametrize("doc", [
     '{"kind": "periodic"}',
     "[1, 2]",

@@ -251,6 +251,26 @@ def test_scaled_cumsum_matches_direct_in_range():
     assert np.max(np.abs(got - direct)) <= 1e-10 * (1 + np.max(np.abs(direct)))
 
 
+def test_scaled_cumsum_cut_rounds_the_head_once():
+    # A head of 1e8, then 2000 terms below 1. Past a cut after the head,
+    # each prefix is the block's own sum plus the head, rounded once, so
+    # prefixes differ from the head by their own terms to one ulp of it;
+    # summed straight through, the roundings against 1e8 accumulate.
+    rng = np.random.default_rng(5)
+    log_mag = np.concatenate([[math.log(1e8)], rng.uniform(-3.0, 0.0, 2000)])
+    phase = np.concatenate([[0.0], rng.uniform(-4.0, 4.0, 2000)])
+    terms = np.exp(log_mag + 1j * phase)
+    exact = np.array([complex(math.fsum(terms[1:k].real), math.fsum(terms[1:k].imag)) for k in range(2, 2002)])
+    ulp = np.spacing(1e8)
+    scale, mant = scaled_cumsum(log_mag, phase, cuts=[1])
+    prefixes = np.exp(scale) * mant
+    assert np.max(np.abs(prefixes[2:] - prefixes[1] - exact)) <= 1.5 * ulp
+    scale, mant = scaled_cumsum(log_mag, phase)
+    straight = np.exp(scale) * mant
+    assert np.max(np.abs(straight[2:] - straight[1] - exact)) > 4 * ulp
+    assert np.max(np.abs(straight - prefixes)) <= 20 * ulp
+
+
 def test_scaled_cumsum_far_outside_float_range():
     # terms growing like e^{2j}: prefixes reach e^{2000}, far beyond binary64
     j = np.arange(1, 1001)

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import hustab as hs
 from conftest import brute_reciprocal_sum, brute_residuals, coeffs_upto, padded, random_disc
+from hustab import witness
 from hustab.errors import IndexOutOfRange, NotUnstable
 from hustab.witness import _Objective, default_prefixes, reciprocal_sum_converged
 
@@ -62,6 +64,15 @@ def test_reciprocal_sum_converged_past_float_range():
     run = hs.table_spec([(0.5, 0.0)] * 1100 + [(2.0, 0.0)], tail="repeat")
     assert reciprocal_sum_converged(hs.build_ledger(run, 10_000))
     assert not reciprocal_sum_converged(hs.build_ledger(hs.builtin_example("constant", a=0.5, b=0), 3000))
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+def test_plan_epsilon_must_be_positive_and_finite(eps):
+    with pytest.raises(ValueError):
+        hs.PerturbationPlan(variant="phase_aligned", epsilon=eps)
+    led = hs.build_ledger(hs.builtin_example("alternating_2_half"), 50)
+    with pytest.raises(ValueError):
+        hs.make_witness(hs.builtin_example("alternating_2_half"), led, "bounded_products", eps)
 
 
 def test_make_witness_rejects_stable_criteria():
@@ -377,29 +388,93 @@ def test_oracle_log_domain_phase_aligned(a, N, factor):
 
 
 # ---------------------------------------------------------------------------
-# run_witness builds one objective per root m = argmax L_n and restricts it to
-# each prefix sharing that root; its curve must equal the cold single-prefix
-# oracle at every prefix.
+# run_witness solves each prefix on one objective shared by a run of prefixes
+# (witness._shares), warm-started from the prefix before; its curve must equal
+# the cold single-prefix oracle at every prefix.
 
 def assert_curve_matches_cold_oracle(spec, led, plan, N, w1=0.2 - 0.3j, prefixes=None):
-    curve = hs.run_witness(spec, plan, N, ledger=led, prefixes=prefixes)
+    """Returns the prefixes' roots m = argmax L_n and the number of
+    objectives run_witness built."""
+    builds = []
+
+    class Counted(witness._Objective):
+        def __init__(self, *args, **kwargs):
+            builds.append(args[2])
+            super().__init__(*args, **kwargs)
+
+    with mock.patch.object(witness, "_Objective", Counted):
+        curve = hs.run_witness(spec, plan, N, ledger=led, prefixes=prefixes)
     orbit = hs.perturbed_orbit(spec, w1, hs.realize_plan(plan, led, N), plan.epsilon)
     cold = [hs.best_shadow_oracle(orbit, spec, led, int(n)).value for n in curve.ns]
     np.testing.assert_allclose(curve.values, np.maximum.accumulate(cold), rtol=1e-12, atol=0.0)
-    return {int(np.argmax(led.logmag[2 : int(n) + 1])) for n in curve.ns}  # the roots
+    return {int(np.argmax(led.logmag[2 : int(n) + 1])) for n in curve.ns}, len(builds)
 
 
-@pytest.mark.parametrize("name, N, variant, roots", [
-    ("alternating_2_half", 4000, "phase_aligned", 1),
-    ("sparse3_squares", 16000, "scaled_product", 7),
-    # a = 2, forced: L_n spans 3000 log 2, so each prefix needs its own root
-    ("constant", 3000, "phase_aligned", 9),
+@pytest.mark.parametrize("name, N, variant, roots, objectives", [
+    pytest.param("alternating_2_half", 4000, "phase_aligned", 1, 1, id="alternating_2_half-4000-phase_aligned-1"),
+    # L_n never decreases, so every prefix shares the objective of the last
+    pytest.param("sparse3_squares", 16000, "scaled_product", 7, 1, id="sparse3_squares-16000-scaled_product-7"),
+    pytest.param("near_parabolic", 4000, "phase_aligned", 9, 1, id="near_parabolic-4000-phase_aligned-9"),
+    # a = 2, forced: each prefix has its own root, and centers 1000 or more
+    # steps from a root leave float range, so the prefixes 1472, 2944 and
+    # 3000 each need an objective; the six up to 750 share the one at 750
+    pytest.param("constant", 3000, "phase_aligned", 9, 4, id="constant-3000-phase_aligned-9"),
 ])
-def test_run_witness_matches_cold_oracle_on_builtins(name, N, variant, roots):
+def test_run_witness_matches_cold_oracle_on_builtins(name, N, variant, roots, objectives):
     spec = hs.builtin_example(name)
     led = hs.build_ledger(spec, N)
     plan = hs.make_witness(spec, led, "geomean_subexponential", 0.7, variant=variant)
-    assert len(assert_curve_matches_cold_oracle(spec, led, plan, N)) == roots
+    seen, built = assert_curve_matches_cold_oracle(spec, led, plan, N)
+    assert (len(seen), built) == (roots, objectives)
+
+
+def test_run_witness_does_not_share_across_a_dip():
+    # L falls 575 below the early prefixes' root before it climbs past it
+    # at n = 501: centers summed from the later root across that dip keep
+    # no digit of the early values (d_31..d_248 = 1/3), so the early
+    # prefixes get an objective of their own.
+    spec = hs.table_spec([(0.1, 1 + 0.5j)] * 250 + [(10, 1 + 0.5j)] * 250 + [(1, 1 + 0.5j)], tail="repeat")
+    N = 2000
+    led = hs.build_ledger(spec, N)
+    plan = hs.PerturbationPlan("phase_aligned", 0.3)
+    roots, objectives = assert_curve_matches_cold_oracle(spec, led, plan, N)
+    assert (roots, objectives) == ({0, 499}, 2)
+    assert hs.run_witness(spec, plan, N, ledger=led).values[0] == pytest.approx(1 / 3, rel=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(40, 2000))
+def test_run_witness_matches_cold_oracle_on_dipping_tables(seed, N):
+    # log|a| uniform in [-2, 2] with its mean removed: L_n wanders up and
+    # down by tens, so roots move right across dips of every depth
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, N))
+    logs = rng.uniform(-2.0, 2.0, k)
+    a = np.exp(logs - logs.mean() + 2j * np.pi * rng.uniform(0, 1, k))
+    spec = hs.table_spec([(x, 1.0) for x in a], tail="repeat")
+    led = hs.build_ledger(spec, N)
+    plan = hs.PerturbationPlan(variant="phase_aligned", epsilon=float(rng.uniform(0.1, 1.0)))
+    assert_curve_matches_cold_oracle(spec, led, plan, N)
+
+
+@pytest.mark.parametrize("name, N, variant", [
+    ("near_parabolic", 3000, "phase_aligned"),
+    ("sparse3_squares", 16000, "scaled_product"),
+    ("alternating_2_half", 3000, "phase_aligned"),
+])
+def test_warm_start_equals_cold_start(name, N, variant):
+    # Each prefix of one shared objective, solved from the previous prefix's
+    # end state and from y = 0, reaches the same value.
+    spec = hs.builtin_example(name)
+    led = hs.build_ledger(spec, N)
+    plan = hs.make_witness(spec, led, "geomean_subexponential", 0.7, variant=variant)
+    ns = default_prefixes(N)
+    obj = _Objective(led, hs.realize_plan(plan, led, N), N, cuts=ns)
+    state = witness._COLD
+    for n in ns:
+        _, warm, state = witness._solve(obj.prefix(n), state)
+        _, cold, _ = witness._solve(obj.prefix(n))
+        assert math.exp(warm - cold) == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 @settings(max_examples=10, deadline=None)
@@ -437,7 +512,7 @@ def test_run_witness_matches_cold_oracle_with_floors():
     assert full.log_floor > -math.inf
     assert full.prefix(500).log_floor == -math.inf
     prefixes = [2, 500, 1000, 1020, 1100, 2000]
-    assert assert_curve_matches_cold_oracle(spec, led, plan, N, prefixes=prefixes) == {0}
+    assert assert_curve_matches_cold_oracle(spec, led, plan, N, prefixes=prefixes) == ({0}, 1)
 
 
 def test_run_witness_rejects_prefixes_outside_the_orbit():
