@@ -98,6 +98,10 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 
 
 def cmd_shadow(cfg: argparse.Namespace) -> int:
+    if cfg.epsilon < 0:
+        raise ValueError(f"--epsilon must be >= 0, got {cfg.epsilon}")
+    if cfg.tail_tol <= 0:
+        raise ValueError(f"--tail-tol must be > 0, got {cfg.tail_tol}")
     spec = _build_spec(cfg)
     N = cfg.horizon
     ledger = build_ledger(spec, N)
@@ -119,7 +123,7 @@ def cmd_shadow(cfg: argparse.Namespace) -> int:
             result = dynamics.shadow_expanding(orbit, spec, ledger, tail_tol=cfg.tail_tol)
         except TailNotConvergent as exc:
             if not cfg.force:
-                sys.stderr.write(f"{exc}\n")
+                sys.stderr.write(f"error: {exc}\n")
                 return 1
             construction = "equal_start"
             log_bound = None

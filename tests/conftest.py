@@ -93,6 +93,17 @@ def brute_residuals(a, r, upto):
     return np.asarray(out, dtype=complex)
 
 
+def naive_csv_text(header: str, *columns: np.ndarray) -> str:
+    """The per-row CSV writer: the header, then per row the comma-joined
+    repr of each column's entry as a Python int or float. .tolist() runs
+    4096 rows at a time, so the Python copies stay small."""
+    rows = [header]
+    for start in range(0, len(columns[0]), 4096):
+        lists = [c[start : start + 4096].tolist() for c in columns]
+        rows += (",".join(map(repr, row)) for row in zip(*lists))
+    return "\n".join(rows) + "\n"
+
+
 def rel_close(x, y, tol):
     """|x - y| <= tol * (1 + |y|), elementwise."""
     return np.all(np.abs(np.asarray(x) - np.asarray(y)) <= tol * (1.0 + np.abs(np.asarray(y))))

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -179,6 +180,41 @@ def test_shadow_refuses_unstable_without_force(capsys):
                          "--horizon", "200", "--force")
     assert code2 == 0
     assert json.loads(out2)["bound"] is None
+
+
+@pytest.mark.parametrize("flag, value", [("--epsilon", "-1"), ("--tail-tol", "-1"), ("--tail-tol", "0")])
+@pytest.mark.parametrize("builtin", ["period3_2_i_third", "constant"])
+def test_shadow_refuses_negative_epsilon_or_tail_tol(capsys, builtin, flag, value):
+    code, out, err = run(capsys, "shadow", "--builtin", builtin, "--horizon", "200", flag, value)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+
+
+def test_shadow_zero_epsilon_is_the_exact_orbit(capsys):
+    code, out, _ = run(capsys, "shadow", "--builtin", "period3_2_i_third", "--horizon", "200", "--epsilon", "0")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["epsilon"], doc["sup_error"], doc["bound"], doc["bound_satisfied"]) == (0.0, 0.0, 0.0, True)
+
+
+def test_shadow_unconverged_tail_is_an_error_line(capsys):
+    code, out, err = run(capsys, "shadow", "--builtin", "constant", "--a", "1.01", "--horizon", "100")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: tail estimate") and err.count("\n") == 1
+
+
+def test_shadow_csv_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch):
+    # Large enough to be split across forked children where two CPUs are
+    # allowed; with one, every row is formatted in this process.
+    argv = ("shadow", "--builtin", "period3_2_i_third", "--horizon", "40000", "--seed", "7")
+    outs = []
+    for cpus in ({0, 1}, {0}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        path = tmp_path / f"z{len(cpus)}.csv"
+        code, out, err = run(capsys, *argv, "--out", str(path))
+        assert (code, err) == (0, "")
+        outs.append((out, path.read_bytes()))
+    assert outs[0] == outs[1]
 
 
 def _run_table(path, head, tail):
