@@ -222,13 +222,17 @@ def classify_numeric(
     ns = np.arange(w0, N + 1)
     g = L[w0 : N + 1] / ns
     gmin, gmax = float(np.min(g)), float(np.max(g))
+    del g  # at most one full-length temporary lives beside the ledger
     _, log_sup_track = tracking_sum_max(ledger, N, log=True)
     with np.errstate(over="ignore"):
         sup_track = float(np.exp(log_sup_track))
-    all_n = np.arange(1, N + 1)
     log_sup_p = float(np.max(L[1 : N + 1]))
     log_inf_p = float(np.min(L[1 : N + 1]))
-    log_sup_np = float(np.max(np.log(all_n) + L[1 : N + 1]))
+    log_n_p = np.arange(1.0, N + 1)
+    np.log(log_n_p, out=log_n_p)
+    log_n_p += L[1 : N + 1]
+    log_sup_np = float(np.max(log_n_p))
+    del log_n_p
     estimates = {
         "geomean_window_min": gmin,
         "geomean_window_max": gmax,

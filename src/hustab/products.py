@@ -293,8 +293,9 @@ def tracking_sum_max(ledger: PartialProductLedger, upto: int, *, log: bool = Fal
     """
     _check_index(ledger, upto, 1, ledger.horizon, "upto")
     L = ledger.logmag
-    running = np.logaddexp.accumulate(-L[2 : upto + 2])
-    log_t = L[2 : upto + 2] + running
+    log_t = np.negative(L[2 : upto + 2])  # the one full-length array, worked in place
+    np.logaddexp.accumulate(log_t, out=log_t)
+    log_t += L[2 : upto + 2]
     i = int(np.argmax(log_t))
     if log:
         return i + 1, float(log_t[i])

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -41,23 +42,25 @@ class FormulaSpec:
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoefficientSpec:
     """Immutable description of the coefficient pairs (a_n, b_n), n >= 1.
 
     kind:      one of "constant", "periodic", "formula", "table"
     constant:  the single pair (a, b)                      (kind=constant)
-    period:    tuple of pairs, period = its length          (kind=periodic)
+    period:    read-only (p, 2) complex array of (a, b) rows (kind=periodic)
     formula:   family name + parameters                     (kind=formula)
-    table:     finite tuple of pairs                        (kind=table)
+    table:     read-only (n, 2) complex array of (a, b) rows (kind=table)
     tail:      "repeat" (repeat last entry) or "error" past the table end
+
+    Specs compare and hash by identity: an array field has no truth value.
     """
 
     kind: str
     constant: Pair | None = None
-    period: tuple[Pair, ...] | None = None
+    period: np.ndarray | None = None
     formula: FormulaSpec | None = None
-    table: tuple[Pair, ...] | None = None
+    table: np.ndarray | None = None
     tail: str = "error"
 
     @property
@@ -73,25 +76,29 @@ class CoefficientSpec:
         """(a, b, log|a|, arg a) of the listed entries of a constant,
         periodic or table spec, taken once per entry and kept, so that
         one-element reads cost O(1). Slots are laid out for direct reads:
-        index n reads slot n mod p of a cycle, so entry p comes first, and
-        slot min(n, length) of a table, whose slot 0 repeats entry 1."""
-        pairs = {"constant": (self.constant,), "periodic": self.period, "table": self.table}[self.kind]
-        pairs = {"periodic": pairs[-1:] + pairs[:-1], "table": pairs[:1] + pairs}.get(self.kind, pairs)
-        # np.fromiter keeps no whole-table Python list alive; validate builds
-        # these columns while the parsed spec document still is
-        n = len(pairs)
-        log_mag = np.fromiter((math.log(abs(a)) if a else -math.inf for a, _ in pairs), float, n)
+        index n reads slot (n mod p) - 1 of a cycle, so slot -1 is entry p,
+        and slot min(n, length) of a table, whose slot 0 repeats entry 1."""
+        entries = {"constant": [self.constant], "periodic": self.period, "table": self.table}[self.kind]
+        entries = np.asarray(entries, complex)
+        if self.kind == "table":
+            entries = np.concatenate((entries[:1], entries))
+        a, b = entries.T.copy()
+        # np.hypot is abs(complex) bit for bit but for NaN payloads; validate
+        # refuses what would warn here: a non-finite a, an overflowing |a|
+        with np.errstate(over="ignore", invalid="ignore"):
+            mod = np.hypot(a.real, a.imag)
+        log_mag = np.fromiter(map(math.log, np.where(mod, mod, 1.0).tolist()), float, len(a))
+        log_mag[mod == 0] = -math.inf
         # math.atan2 is cmath.phase without its refusal of a subnormal angle
-        phase = np.fromiter((math.atan2(a.imag, a.real) for a, _ in pairs), float, n)
-        a = np.fromiter((x for x, _ in pairs), complex, n)
-        b = np.fromiter((y for _, y in pairs), complex, n)
+        phase = np.fromiter(map(math.atan2, a.imag.tolist(), a.real.tolist()), float, len(a))
         return a, b, log_mag, phase
 
 
 def _formula_arrays(fam: FormulaSpec, n: np.ndarray) -> tuple[np.ndarray, ...]:
     if fam.name == "near_parabolic":
         # a_n = (1 + 1/n^2)^2 e^{2 pi alpha i},  b_n = -2 a_n
-        ang = 2.0 * math.pi * float(fam.params.get("alpha", 0.0))
+        # alpha mod 1 is exact, and keeps every digit of a large alpha's phase
+        ang = 2.0 * math.pi * math.fmod(float(fam.params.get("alpha", 0.0)), 1.0)
         x = n.astype(float)
         x = 1.0 / (x * x)
         log_mag = 2.0 * np.log1p(x)
@@ -129,6 +136,7 @@ def coeff_arrays(spec: CoefficientSpec, n) -> tuple[np.ndarray, np.ndarray, np.n
         out = tuple(np.full(n.shape, c[0]) for c in spec._entry_columns)
     elif spec.kind == "periodic":
         k = n % len(spec.period)
+        k -= 1
         out = tuple(c[k] for c in spec._entry_columns)
     elif spec.kind == "table":
         size = len(spec.table)
@@ -153,25 +161,14 @@ def coeff_at(spec: CoefficientSpec, n: int) -> Pair:
     return coeff_full(spec, n)[:2]
 
 
-def _listed_entries(spec: CoefficientSpec) -> tuple[np.ndarray, np.ndarray]:
-    """a and b of a constant, periodic or table spec's listed entries,
-    entry 1 first, from the cached columns."""
-    a, b = spec._entry_columns[:2]
-    if spec.kind == "periodic":  # entry p sits in slot 0
-        return np.roll(a, -1), np.roll(b, -1)
-    if spec.kind == "table":  # slot 0 repeats entry 1
-        return a[1:], b[1:]
-    return a, b
-
-
 def validate(spec: CoefficientSpec) -> CoefficientSpec:
     """Check every statically checkable invariant; return the spec unchanged.
 
     Constant, periodic and table specs are checked over their listed
-    entries: each a_n and b_n must be finite and each a_n nonzero; the
-    first offending entry is named. Formula families are checked by rule
-    (both builtin families are zero-free for all n), and their parameters
-    must be finite numbers. Raises InvalidSpec, ZeroCoefficient or
+    entries: each a_n and b_n must be finite, each |a_n| within float range
+    and each a_n nonzero; the first offending entry is named. Formula
+    families are checked by rule (both builtin families are zero-free for
+    all n), and their parameters must be finite numbers. Raises InvalidSpec, ZeroCoefficient or
     EmptyPeriod on violation.
     """
     if spec.kind not in KINDS:
@@ -186,18 +183,23 @@ def validate(spec: CoefficientSpec) -> CoefficientSpec:
         return spec
     if spec.kind == "constant" and spec.constant is None:
         raise ZeroCoefficient("constant spec has a = 0")
-    if spec.kind == "periodic" and not spec.period:
+    if spec.kind == "periodic" and not len(spec.period):
         raise EmptyPeriod("periodic spec has no entries")
     if spec.kind == "table":
-        if not spec.table:
+        if not len(spec.table):
             raise EmptyPeriod("table spec has no entries")
         if spec.tail not in TAIL_RULES:
             raise ValueError(f"table tail rule must be one of {TAIL_RULES}, got {spec.tail!r}")
-    a, b = _listed_entries(spec)
+    a, b, log_mag, _ = spec._entry_columns
+    if spec.kind == "table":  # slot 0 repeats entry 1
+        a, b, log_mag = a[1:], b[1:], log_mag[1:]
     bad = ~(np.isfinite(a) & np.isfinite(b))
     if bad.any():
         k = int(np.argmax(bad))
         raise InvalidSpec(f"{_entry_name(spec, k)} is not finite: a = {a[k]}, b = {b[k]}")
+    k = int(np.argmax(log_mag))
+    if log_mag[k] == math.inf:  # a finite a whose modulus overflows
+        raise InvalidSpec(f"{_entry_name(spec, k)} has |a| past float range: a = {a[k]}")
     if not a.all():
         raise ZeroCoefficient(f"{_entry_name(spec, int(np.argmin(a != 0)))} has a = 0")
     return spec
@@ -214,14 +216,22 @@ def constant_spec(a: complex, b: complex) -> CoefficientSpec:
     return validate(CoefficientSpec(kind="constant", constant=(complex(a), complex(b))))
 
 
+def _read_only(entries: np.ndarray) -> np.ndarray:
+    entries.flags.writeable = False
+    return entries
+
+
+def _pair_array(pairs) -> np.ndarray:
+    """The read-only (n, 2) complex array of (a, b) pairs."""
+    return _read_only(np.array([(complex(a), complex(b)) for a, b in pairs], complex).reshape(-1, 2))
+
+
 def periodic_spec(pairs) -> CoefficientSpec:
-    pairs = tuple((complex(a), complex(b)) for a, b in pairs)
-    return validate(CoefficientSpec(kind="periodic", period=pairs))
+    return validate(CoefficientSpec(kind="periodic", period=_pair_array(pairs)))
 
 
 def table_spec(pairs, tail: str = "error") -> CoefficientSpec:
-    pairs = tuple((complex(a), complex(b)) for a, b in pairs)
-    return validate(CoefficientSpec(kind="table", table=pairs, tail=tail))
+    return validate(CoefficientSpec(kind="table", table=_pair_array(pairs), tail=tail))
 
 
 def builtin_example(
@@ -266,11 +276,6 @@ def builtin_example(
 #   {"kind": ..., "constant": [re,im,re,im], "period": [[re,im,re,im], ...],
 #    "formula": {"name": ..., "params": {...}}, "table": [...], "tail": ...}
 
-def _pair_to_list(pair: Pair) -> list[float]:
-    a, b = pair
-    return [a.real, a.imag, b.real, b.imag]
-
-
 # The Python types of JSON numbers; bool, an int subclass, is not one.
 _NUMBER_TYPES = frozenset({int, float})
 
@@ -284,7 +289,6 @@ def _is_finite_number(v) -> bool:
 
 
 def _pair_from_list(vals) -> Pair:
-    # type checks through C-level map, since tables run to 1e5+ pairs
     if type(vals) is not list or len(vals) != 4 or not _NUMBER_TYPES.issuperset(map(type, vals)):
         raise InvalidSpec(f"a coefficient pair must be 4 numbers [re a, im a, re b, im b], got {vals!r}")
     try:
@@ -294,16 +298,37 @@ def _pair_from_list(vals) -> Pair:
     return complex(re_a, im_a), complex(re_b, im_b)
 
 
+def _entries_from_lists(pairs: list) -> np.ndarray:
+    """The read-only (n, 2) complex array of a JSON list of pairs. Tables
+    run to 1e5+ pairs, so the list is checked by C-level maps and read by
+    one np.fromiter, which rounds as float() does. Only a list that fails a
+    check, or holds an int past float range, is walked pair by pair."""
+    if (
+        {list}.issuperset(map(type, pairs))
+        and {4}.issuperset(map(len, pairs))
+        and _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(pairs)))
+    ):
+        try:
+            values = np.fromiter(chain.from_iterable(pairs), float, 4 * len(pairs))
+            return _read_only(values.view(complex).reshape(-1, 2))
+        except OverflowError:
+            pass
+    for vals in pairs:
+        _pair_from_list(vals)  # raises at the first bad pair
+    raise AssertionError("a list of pairs failed a check that no pair fails")
+
+
 def spec_to_json(spec: CoefficientSpec) -> dict:
     data: dict = {"kind": spec.kind}
     if spec.kind == "constant":
-        data["constant"] = _pair_to_list(spec.constant)
+        a, b = spec.constant
+        data["constant"] = [a.real, a.imag, b.real, b.imag]
     elif spec.kind == "periodic":
-        data["period"] = [_pair_to_list(p) for p in spec.period]
+        data["period"] = spec.period.view(float).reshape(-1, 4).tolist()
     elif spec.kind == "formula":
         data["formula"] = {"name": spec.formula.name, "params": dict(spec.formula.params)}
     elif spec.kind == "table":
-        data["table"] = [_pair_to_list(p) for p in spec.table]
+        data["table"] = spec.table.view(float).reshape(-1, 4).tolist()
         data["tail"] = spec.tail
     return data
 
@@ -334,7 +359,7 @@ def spec_from_json(data: dict) -> CoefficientSpec:
         spec = CoefficientSpec(kind="constant", constant=pair)
     elif kind == "periodic":
         pairs = _field(data, "period", list, "a periodic spec")
-        spec = CoefficientSpec(kind="periodic", period=tuple(_pair_from_list(p) for p in pairs))
+        spec = CoefficientSpec(kind="periodic", period=_entries_from_lists(pairs))
     elif kind == "formula":
         f = _field(data, "formula", dict, "a formula spec")
         name = _field(f, "name", str, "a formula")
@@ -344,9 +369,7 @@ def spec_from_json(data: dict) -> CoefficientSpec:
         spec = CoefficientSpec(kind="formula", formula=FormulaSpec(name, dict(params)))
     elif kind == "table":
         pairs = _field(data, "table", list, "a table spec")
-        spec = CoefficientSpec(
-            kind="table", table=tuple(_pair_from_list(p) for p in pairs), tail=data.get("tail", "error")
-        )
+        spec = CoefficientSpec(kind="table", table=_entries_from_lists(pairs), tail=data.get("tail", "error"))
     else:
         raise InvalidSpec(f"unknown spec kind {kind!r}")
     return validate(spec)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 import hustab as hs
+from hustab.errors import InvalidSpec
 
 
 def random_table_spec(rng, n, amin=0.25, amax=4.0, bmax=10.0, tail="repeat"):
@@ -102,6 +103,34 @@ def naive_csv_text(header: str, *columns: np.ndarray) -> str:
         lists = [c[start : start + 4096].tolist() for c in columns]
         rows += (",".join(map(repr, row)) for row in zip(*lists))
     return "\n".join(rows) + "\n"
+
+
+_NUMBER_TYPES = frozenset({int, float})
+
+
+def naive_pair_from_list(vals):
+    """The per-pair wire-format parse: one (complex, complex) pair from a
+    JSON list of four numbers, or InvalidSpec naming the list."""
+    # type checks through C-level map, since tables run to 1e5+ pairs
+    if type(vals) is not list or len(vals) != 4 or not _NUMBER_TYPES.issuperset(map(type, vals)):
+        raise InvalidSpec(f"a coefficient pair must be 4 numbers [re a, im a, re b, im b], got {vals!r}")
+    try:
+        re_a, im_a, re_b, im_b = map(float, vals)
+    except OverflowError:
+        raise InvalidSpec(f"coefficient pair {vals!r} leaves float range") from None
+    return complex(re_a, im_a), complex(re_b, im_b)
+
+
+def naive_entry_columns(pairs):
+    """(a, b, log|a|, arg a) of a tuple of (complex, complex) pairs, in
+    listed order: one Python abs, math.log and math.atan2 per entry."""
+    n = len(pairs)
+    log_mag = np.fromiter((math.log(abs(a)) if a else -math.inf for a, _ in pairs), float, n)
+    # math.atan2 is cmath.phase without its refusal of a subnormal angle
+    phase = np.fromiter((math.atan2(a.imag, a.real) for a, _ in pairs), float, n)
+    a = np.fromiter((x for x, _ in pairs), complex, n)
+    b = np.fromiter((y for _, y in pairs), complex, n)
+    return a, b, log_mag, phase
 
 
 def rel_close(x, y, tol):

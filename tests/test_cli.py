@@ -5,11 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
 from hustab.cli import main
+from hustab.sequences import coeff_full
 
 
 def run(capsys, *argv):
@@ -368,6 +369,7 @@ def test_parser_keeps_no_state_between_calls(tmp_path, capsys):
     "[1, 2]",
     '{"kind": "constant", "constant": [NaN, 0, 1, 0]}',
     '{"kind": "constant", "constant": [1e400, 0, 1, 0]}',
+    '{"kind": "periodic", "period": [[1.5e308, 1.5e308, 1, 0], [1e-300, 0, 1, 0]]}',
     "[" * 100_000 + "]" * 100_000,
 ])
 def test_malformed_or_non_finite_spec_is_one_line_error(tmp_path, capsys, doc):
@@ -408,8 +410,12 @@ _SPEC_DOCS = st.one_of(
 )
 
 
+_LARGE_ALPHA = {"kind": "formula", "formula": {"name": "near_parabolic", "params": {"alpha": 5337092}}}
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_SPEC_DOCS, command=st.sampled_from(["classify", "simulate", "shadow", "witness"]))
+@example(doc=_LARGE_ALPHA, command="shadow")
 def test_wire_format_fuzz_exit_codes(tmp_path, capsys, doc, command):
     # Whatever the document, the CLI exits 0, 1 or 2; an error is one
     # "error:" line, never a traceback.
@@ -419,3 +425,14 @@ def test_wire_format_fuzz_exit_codes(tmp_path, capsys, doc, command):
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_large_alpha_is_taken_mod_one(capsys):
+    # 2 pi alpha = 3.4e7 rad unreduced: the phases summed to 2e9 and lost
+    # about 7 digits, and shadow's identity check refused its own orbit
+    argv = ["shadow", "--builtin", "near_parabolic", "--horizon", "64", "--force"]
+    code, out, err = run(capsys, *argv, "--alpha", "5337092")
+    assert (code, err) == (0, "")
+    assert out == run(capsys, *argv, "--alpha", "0")[1]
+    big = coeff_full(hs.builtin_example("near_parabolic", alpha=5337092.25), 7)
+    assert big == coeff_full(hs.builtin_example("near_parabolic", alpha=0.25), 7)

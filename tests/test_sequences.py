@@ -1,13 +1,23 @@
 import json
 import math
+import struct
+import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from conftest import naive_entry_columns, naive_pair_from_list
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
 from hustab.errors import EmptyPeriod, InvalidSpec, PastEnd, UnknownExample, ZeroCoefficient
-from hustab.sequences import coeff_full, spec_from_json, spec_to_json
+from hustab.sequences import (
+    CoefficientSpec,
+    _entries_from_lists,
+    coeff_full,
+    spec_from_json,
+    spec_to_json,
+)
 
 
 def test_period3_entry_lookup():
@@ -214,3 +224,127 @@ def test_validate_rejects_non_finite_values_naming_the_entry():
         hs.periodic_spec([(2, 5), (0, 5), (0, 5)])
     # the new checks are ValueErrors too, as the old ones were
     assert issubclass(InvalidSpec, ValueError)
+
+
+def test_overflowing_modulus_is_refused_naming_the_entry():
+    # |a| = 2.1e308 is past float range though both parts are finite
+    doc = {"kind": "periodic", "period": [[1.5e308, 1.5e308, 1, 0], [1e-300, 0, 1, 0]]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match=r"^period entry 1 has \|a\| past float range"):
+            spec_from_json(doc)
+        with pytest.raises(InvalidSpec, match=r"^table entry 3 has \|a\| past float range"):
+            hs.table_spec([(2, 5), (0.5, 5), (complex(-1e308, 1.7e308), 0)])
+    assert coeff_full(hs.periodic_spec([(complex(1e308, 1e308), 0)]), 1)[2] == math.log(abs(complex(1e308, 1e308)))
+
+
+def _from_bits(u):
+    return struct.unpack("<d", struct.pack("<Q", u))[0]
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.uint64)
+
+
+def _modulus_fits(a):
+    try:
+        abs(a)
+    except OverflowError:
+        return False
+    return True
+
+
+# JSON numbers as json.loads returns them: floats of any bit pattern
+# (json.loads reads NaN and Infinity; validate, not the reader, refuses
+# them), and ints, some of which round when read as floats
+_WIRE_NUMBERS = st.one_of(
+    st.integers(0, 2**64 - 1).map(_from_bits),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, 1.5e308, -1.7976931348623157e308]),
+    st.sampled_from([2**53 + 1, 2**63 + 1, 3 * 2**64 + 1, 10**308, -(2**53 + 1), 0, 1]),
+    st.integers(-(2**70), 2**70),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.lists(_WIRE_NUMBERS, min_size=4, max_size=4), min_size=1, max_size=12))
+@example(pairs=[[2**53 + 1, 2**63 + 1, 3 * 2**64 + 1, 10**308], [-0.0, 5e-324, 1e308, -1e308]])
+def test_entry_columns_bit_identical_to_per_entry_oracle(pairs):
+    naive = tuple(naive_pair_from_list(p) for p in pairs)
+    spec = CoefficientSpec(kind="table", table=_entries_from_lists(pairs), tail="repeat")
+    got = [c[1:] for c in spec._entry_columns]  # slot 0 repeats entry 1
+    # the per-entry oracle's abs raises where a finite a's modulus overflows;
+    # the new columns hold log|a| = inf there, which validate refuses
+    fits = np.array([_modulus_fits(a) for a, _ in naive])
+    assert (got[2][~fits] == math.inf).all()
+    want = naive_entry_columns(tuple(p for p, f in zip(naive, fits) if f))
+    a, b, log_mag, phase = (c[fits] for c in got)
+    assert (_bits(a) == _bits(want[0])).all() and (_bits(b) == _bits(want[1])).all()
+    assert (_bits(phase) == _bits(want[3])).all()
+    # abs of a complex with a NaN part returns the canonical NaN, np.hypot
+    # keeps the payload; validate refuses every non-finite entry, so a NaN
+    # log|a| is compared as NaN
+    nan = np.isnan(want[2])
+    assert (np.isnan(log_mag) == nan).all()
+    assert (_bits(log_mag[~nan]) == _bits(want[2][~nan])).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pairs=st.lists(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False, min_value=-1e300, max_value=1e300), min_size=4, max_size=4)
+        .filter(lambda p: p[0] or p[1]),
+        min_size=1,
+        max_size=9,
+    ),
+    kind=st.sampled_from(["periodic", "table"]),
+)
+def test_spec_to_json_round_trips_byte_for_byte(pairs, kind):
+    doc = {"kind": kind, ("period" if kind == "periodic" else "table"): pairs}
+    if kind == "table":
+        doc["tail"] = "repeat"
+    text = json.dumps(doc)
+    spec = spec_from_json(json.loads(text))
+    entries = spec.period if kind == "periodic" else spec.table
+    assert entries.shape == (len(pairs), 2) and not entries.flags.writeable
+    assert json.dumps(spec_to_json(spec)) == text
+    # the columns match the per-entry oracle on what validate accepts
+    want = naive_entry_columns(tuple(naive_pair_from_list(p) for p in pairs))
+    columns = spec._entry_columns if kind == "periodic" else [c[1:] for c in spec._entry_columns]
+    for got, exp in zip(columns, want):
+        assert (_bits(got) == _bits(exp)).all()
+
+
+_GOOD_PAIR = [2, 0.5, 5, -1]
+_BAD_PAIRS = [
+    [True, 0, 5, 0],
+    [1, 0, "5", 0],
+    [1, 0, 5],
+    (1, 0, 5, 0),
+    {"re": 1},
+    [10**400, 0, 5, 0],
+]
+
+
+@pytest.mark.parametrize("bad", _BAD_PAIRS, ids=["bool", "string", "length3", "tuple", "object", "int_past_float"])
+@pytest.mark.parametrize("at", [0, 50_000, 99_999])
+def test_malformed_pair_in_long_list_gets_the_per_pair_message(bad, at):
+    pairs = [_GOOD_PAIR] * 100_000
+    pairs[at] = bad
+    with pytest.raises(InvalidSpec) as want:
+        for p in pairs:
+            naive_pair_from_list(p)
+    for kind, key in (("periodic", "period"), ("table", "table")):
+        with pytest.raises(InvalidSpec) as got:
+            spec_from_json({"kind": kind, key: pairs})
+        assert str(got.value) == str(want.value)
+
+
+def test_first_of_two_malformed_pairs_is_named():
+    pairs = [_GOOD_PAIR] * 1000
+    pairs[400] = [10**400, 0, 1, 0]  # fails only the conversion
+    pairs[700] = [False, 0, 1, 0]  # fails the type check
+    with pytest.raises(InvalidSpec, match=r"^coefficient pair \[1000000"):
+        spec_from_json({"kind": "table", "table": pairs})
+    pairs[200] = [1, 2, 3, None]
+    with pytest.raises(InvalidSpec, match=r"got \[1, 2, 3, None\]$"):
+        spec_from_json({"kind": "table", "table": pairs})
