@@ -18,7 +18,6 @@ from .dynamics import (
     ResidualLedger,
     ShadowResult,
     Trajectory,
-    closed_form_at,
     closed_form_curve,
     iterate,
     perturbed_orbit,

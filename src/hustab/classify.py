@@ -177,7 +177,7 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
     if spec.kind not in ("constant", "periodic"):
         raise NotPeriodic(f"exact cycle classification needs constant or periodic, got {spec.kind}")
     p = spec.period_length
-    _, _, log_mag, _ = coeff_arrays(spec, np.arange(1, p + 1))
+    (log_mag,) = coeff_arrays(spec, np.arange(1, p + 1), "log_abs")
     log_q = math.fsum(log_mag.tolist())
     estimates = {
         "geomean_exponent": log_q / p,

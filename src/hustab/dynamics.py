@@ -142,14 +142,14 @@ def iterate(spec: CoefficientSpec, z1: complex, N: int) -> Trajectory:
     """Direct recursion z_{n+1} = a_n z_n + b_n, materialized to length N."""
     if N < 1:
         raise IndexOutOfRange(f"orbit length must be >= 1, got {N}")
-    a, b, _, _ = coeff_arrays(spec, np.arange(1, N))
+    a, b = coeff_arrays(spec, np.arange(1, N), "a", "b")
     return Trajectory(spec=spec, values=_recur(z1, a, b, None))
 
 
 def perturbed_orbit(spec: CoefficientSpec, w1: complex, r: np.ndarray, epsilon: float) -> PerturbedOrbit:
     """Materialize w from w_1 and index-aligned perturbations r_1..r_{N-1}."""
     r = np.asarray(r, dtype=complex)  # slots 0..N-1, slot 0 padding
-    a, b, _, _ = coeff_arrays(spec, np.arange(1, len(r)))
+    a, b = coeff_arrays(spec, np.arange(1, len(r)), "a", "b")
     values = _recur(w1, a, b, r[1:])
     return PerturbedOrbit(spec=spec, values=values, perturbations=r, epsilon=float(epsilon))
 
@@ -163,22 +163,6 @@ def _series_term_logs(ledger: PartialProductLedger, r: np.ndarray, N: int):
     return log_mag, phase
 
 
-def closed_form_at(spec: CoefficientSpec, ledger: PartialProductLedger, z1: complex, n: int) -> complex:
-    """z_n = p(n, 1) z_1 + sum_{j=1}^{n-1} b_j p(n, j+1), from the ledger.
-
-    Each summand is exp of a difference of prefix logs; the result matches
-    iterate() within the closed-form/recursion equivalence tolerance.
-    """
-    if not 2 <= n <= ledger.horizon + 1:
-        raise IndexOutOfRange(f"n={n} outside [2, {ledger.horizon + 1}]")
-    L, th = ledger.logmag, ledger.phase
-    with np.errstate(over="ignore", divide="ignore"):
-        log_b = np.log(np.abs(ledger.b[1:n]))
-        terms = np.exp((L[n] - L[2 : n + 1] + log_b) + 1j * (th[n] - th[2 : n + 1] + np.angle(ledger.b[1:n])))
-        head = np.exp(L[n] + 1j * th[n]) * complex(z1)
-    return complex(math.fsum(terms.real) + head.real, math.fsum(terms.imag) + head.imag)
-
-
 def closed_form_curve(spec: CoefficientSpec, ledger: PartialProductLedger, z1: complex, N: int) -> np.ndarray:
     """Closed-form z_n for every n = 1..N in O(N), via scaled prefix sums.
 
@@ -189,9 +173,10 @@ def closed_form_curve(spec: CoefficientSpec, ledger: PartialProductLedger, z1: c
     if not 1 <= N <= ledger.horizon + 1:
         raise IndexOutOfRange(f"N={N} outside [1, {ledger.horizon + 1}]")
     L, th = ledger.logmag, ledger.phase
+    (b,) = coeff_arrays(spec, np.arange(1, N), "b")
     with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(ledger.b[1:N])) - L[2 : N + 1]
-    phase = np.angle(ledger.b[1:N]) - th[2 : N + 1]
+        log_mag = np.log(np.abs(b)) - L[2 : N + 1]
+    phase = np.angle(b) - th[2 : N + 1]
     scale, mant = scaled_cumsum(log_mag, phase)
 
     values = np.empty(N + 1, dtype=complex)
@@ -212,7 +197,7 @@ def residual_ledger(orbit: PerturbedOrbit, spec: CoefficientSpec, check: bool = 
     w_{n+1} = (exact orbit from w_1)_{n+1} + R_n (see _check_identity).
     """
     N = len(orbit)
-    a, _, log_a, _ = coeff_arrays(spec, np.arange(1, N))
+    a, log_a = coeff_arrays(spec, np.arange(1, N), "a", "log_abs")
     values = _recur(0j, a, None, orbit.perturbations[1:])[1:]  # slot n holds R_n
     if check:
         L = np.concatenate(([np.nan, 0.0], np.cumsum(log_a)))  # slot n holds L_n

@@ -1,7 +1,7 @@
 """Log-domain partial products p(m, k) = prod_{j=k}^{m-1} a_j and derived sums.
 
-The ledger stores prefix sums of log|a_j| and arg(a_j), so that
-|p(m, k)| = exp(L_m - L_k) never has to be formed from a linear-scale
+The ledger stores prefix sums of log|a_j|, and of arg(a_j) once read, so
+that |p(m, k)| = exp(L_m - L_k) never has to be formed from a linear-scale
 product of many factors: for |a| = 2 the product leaves binary64 range
 near m = 1000. Linear values are materialized only on demand and flagged
 when they fall outside the representable range. Phase is accumulated
@@ -19,6 +19,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -72,22 +73,24 @@ class PartialProduct:
 
 @dataclass(frozen=True)
 class PartialProductLedger:
-    """Materialized coefficients and prefix accumulators up to a horizon.
+    """Prefix accumulators of the coefficients up to a horizon.
 
-    a, b:    slots 1..horizon, the coefficient pairs.
     logmag:  slots 1..horizon+1, L_n = sum_{j<n} log|a_j| (L_1 = 0), so
              |p(n, 1)| = exp(L_n).
-    phase:   slots 1..horizon+1, Theta_n = sum_{j<n} arg(a_j), unreduced.
+    phase:   slots 1..horizon+1, Theta_n = sum_{j<n} arg(a_j), unreduced;
+             built on first read, since a verdict reads L alone.
 
-    Immutable once built; concurrent reads are safe.
+    Immutable once built; concurrent reads are safe (racing first reads of
+    phase build the same bits).
     """
 
     spec: CoefficientSpec
     horizon: int
-    a: np.ndarray
-    b: np.ndarray
     logmag: np.ndarray
-    phase: np.ndarray
+
+    @cached_property
+    def phase(self) -> np.ndarray:
+        return _prefix_sums(self.spec, self.horizon, "arg")
 
     def to_csv(self) -> str:
         return _csv_text("n,L_n,Theta_n", np.arange(1, self.horizon + 2), self.logmag[1:], self.phase[1:])
@@ -223,20 +226,21 @@ def _reprs(values: np.ndarray) -> list[str]:
 
 
 def build_ledger(spec: CoefficientSpec, horizon: int) -> PartialProductLedger:
-    """Materialize coefficients 1..horizon and prefix sums 1..horizon+1."""
+    """The ledger of L_1..L_{horizon+1}; Theta is built on first read."""
     if horizon < 1:
         raise IndexOutOfRange(f"horizon must be >= 1, got {horizon}")
-    # Slot k reads index k - 1 (slots 0 and 1 read index 1 as padding): a and
-    # b are the views from slot 1, and the logs and phases become L and Theta
-    # in place, behind L_1 = Theta_1 = 0. np.cumsum adds in index order, so
-    # L_{n+1} = L_n + log|a_n| exactly as a sequential loop would.
-    a, b, logmag, phase = coeff_arrays(spec, np.maximum(np.arange(-1, horizon + 1), 1))
-    a, b = a[1:], b[1:]
-    a[0] = b[0] = logmag[0] = phase[0] = np.nan
-    logmag[1] = phase[1] = 0.0
-    np.cumsum(logmag[1:], out=logmag[1:])
-    np.cumsum(phase[1:], out=phase[1:])
-    return PartialProductLedger(spec=spec, horizon=horizon, a=a, b=b, logmag=logmag, phase=phase)
+    return PartialProductLedger(spec=spec, horizon=horizon, logmag=_prefix_sums(spec, horizon, "log_abs"))
+
+
+def _prefix_sums(spec: CoefficientSpec, horizon: int, column: str) -> np.ndarray:
+    """Slot n holds the sum of one coefficient column over j < n (slot 0
+    NaN): slot k reads index k - 1, then np.cumsum adds in place, in index
+    order, so L_{n+1} = L_n + log|a_n| exactly as a sequential loop would."""
+    (sums,) = coeff_arrays(spec, np.maximum(np.arange(-1, horizon + 1), 1), column)
+    sums[0] = np.nan
+    sums[1] = 0.0
+    np.cumsum(sums[1:], out=sums[1:])
+    return sums
 
 
 def _check_index(ledger: PartialProductLedger, n: int, low: int, high: int, what: str) -> None:

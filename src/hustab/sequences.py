@@ -3,9 +3,10 @@
 A CoefficientSpec is an immutable generator of coefficient pairs, indexed
 from n = 1. Four kinds exist: a single constant pair, a periodic list, a
 named formula family, and a finite table with an explicit tail rule.
-coeff_arrays is the one definition of the coefficients: it returns a_n,
-b_n, log|a_n| and arg a_n over a whole index array, and every other reader
-(coeff_at, coeff_full, the ledger, the orbits) goes through it. Formula
+coeff_arrays is the one definition of the coefficients: it returns the
+columns a reader names, out of a_n, b_n, log|a_n| and arg a_n, over a whole
+index array, and every other reader (coeff_at, coeff_full, the ledger, the
+orbits) goes through it. Only the named columns are computed. Formula
 families give log|a_n| from its exact closed form, so log-domain
 accumulation does not have to go through exp/log round trips.
 """
@@ -23,6 +24,7 @@ from .errors import EmptyPeriod, InvalidSpec, PastEnd, UnknownExample, ZeroCoeff
 
 KINDS = ("constant", "periodic", "formula", "table")
 TAIL_RULES = ("repeat", "error")
+COLUMNS = ("a", "b", "log_abs", "arg")
 FORMULA_FAMILIES = ("near_parabolic", "sparse3_squares")
 BUILTIN_NAMES = (
     "near_parabolic",
@@ -72,81 +74,113 @@ class CoefficientSpec:
         raise ValueError(f"{self.kind} specs have no period")
 
     @cached_property
-    def _entry_columns(self) -> tuple[np.ndarray, ...]:
-        """(a, b, log|a|, arg a) of the listed entries of a constant,
-        periodic or table spec, taken once per entry and kept, so that
-        one-element reads cost O(1). Slots are laid out for direct reads:
-        index n reads slot (n mod p) - 1 of a cycle, so slot -1 is entry p,
-        and slot min(n, length) of a table, whose slot 0 repeats entry 1."""
+    def _entries(self) -> np.ndarray:
+        """The (2, k) complex array whose rows are the a and the b of the
+        listed entries of a constant, periodic or table spec, each row
+        contiguous (np.take copies a strided source whole) and laid out for
+        direct reads: index n reads slot (n mod p) - 1 of a cycle, so slot
+        -1 is entry p, and slot min(n, length) of a table, whose slot 0
+        repeats entry 1."""
         entries = {"constant": [self.constant], "periodic": self.period, "table": self.table}[self.kind]
-        entries = np.asarray(entries, complex)
+        entries = np.asarray(entries, complex).T
         if self.kind == "table":
-            entries = np.concatenate((entries[:1], entries))
-        a, b = entries.T.copy()
+            entries = np.concatenate((entries[:, :1], entries), axis=1)
+        return np.ascontiguousarray(entries)
+
+    @cached_property
+    def _log_abs(self) -> np.ndarray:
+        """log|a| of each entry slot, taken once and kept: a read costs O(1)."""
+        a = self._entries[0]
         # np.hypot is abs(complex) bit for bit but for NaN payloads; validate
         # refuses what would warn here: a non-finite a, an overflowing |a|
         with np.errstate(over="ignore", invalid="ignore"):
             mod = np.hypot(a.real, a.imag)
-        log_mag = np.fromiter(map(math.log, np.where(mod, mod, 1.0).tolist()), float, len(a))
-        log_mag[mod == 0] = -math.inf
+        log_abs = np.fromiter(map(math.log, np.where(mod, mod, 1.0).tolist()), float, len(a))
+        log_abs[mod == 0] = -math.inf
+        return log_abs
+
+    @cached_property
+    def _arg(self) -> np.ndarray:
+        """arg a of each entry slot, taken on first read and kept."""
+        a = self._entries[0]
         # math.atan2 is cmath.phase without its refusal of a subnormal angle
-        phase = np.fromiter(map(math.atan2, a.imag.tolist(), a.real.tolist()), float, len(a))
-        return a, b, log_mag, phase
+        return np.fromiter(map(math.atan2, a.imag.tolist(), a.real.tolist()), float, len(a))
+
+    def _entry_column(self, name: str) -> np.ndarray:
+        """Column name of the entry slots; a and b are rows of _entries."""
+        if name in ("a", "b"):
+            return self._entries[COLUMNS.index(name)]
+        return self._log_abs if name == "log_abs" else self._arg
 
 
-def _formula_arrays(fam: FormulaSpec, n: np.ndarray) -> tuple[np.ndarray, ...]:
+def _formula_column(fam: FormulaSpec, n: np.ndarray, name: str) -> np.ndarray:
+    """Column name of a formula family over n."""
     if fam.name == "near_parabolic":
         # a_n = (1 + 1/n^2)^2 e^{2 pi alpha i},  b_n = -2 a_n
         # alpha mod 1 is exact, and keeps every digit of a large alpha's phase
         ang = 2.0 * math.pi * math.fmod(float(fam.params.get("alpha", 0.0)), 1.0)
-        x = n.astype(float)
-        x = 1.0 / (x * x)
-        log_mag = 2.0 * np.log1p(x)
+        if name == "arg":
+            return np.full(n.shape, ang)
+        x = 1.0 / np.square(n.astype(float))
+        if name == "log_abs":
+            return 2.0 * np.log1p(x)
         mag = np.square(1.0 + x)
         del x  # full-length temporaries go as soon as they are used
         a = np.empty(n.shape, dtype=complex)
         a.real = mag * math.cos(ang)
         a.imag = mag * math.sin(ang)
         del mag
-        return a, -2.0 * a, log_mag, np.full(n.shape, ang)
+        return a if name == "a" else -2.0 * a
     if fam.name == "sparse3_squares":
         # a_n = 3 when n is a perfect square, else 1; b_n = 5
+        if name in ("b", "arg"):
+            return np.full(n.shape, 5.0 + 0.0j) if name == "b" else np.zeros(n.shape)
         r = np.rint(np.sqrt(n)).astype(np.int64)
         square = r * r == n
-        a = np.where(square, 3.0 + 0.0j, 1.0 + 0.0j)
-        return a, np.full(n.shape, 5.0 + 0.0j), np.where(square, math.log(3.0), 0.0), np.zeros(n.shape)
+        return np.where(square, 3.0 + 0.0j, 1.0 + 0.0j) if name == "a" else np.where(square, math.log(3.0), 0.0)
     raise UnknownExample(f"unknown formula family {fam.name!r}")
 
 
-def coeff_arrays(spec: CoefficientSpec, n) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(a_n, b_n, log|a_n|, arg a_n) for every index in the integer array n >= 1.
+def coeff_arrays(spec: CoefficientSpec, n, *columns: str) -> tuple[np.ndarray, ...]:
+    """The named columns, out of COLUMNS = (a_n, b_n, log|a_n|, arg a_n), for
+    every index in the integer array n >= 1; all four when none is named.
 
-    The one definition of the coefficients. Constant, periodic and table
-    specs take the log and phase of each listed entry once, then fill or
-    index; formula families evaluate their closed forms over the array.
-    Periodic specs read entry ((n - 1) mod p) + 1; tables past their end
-    follow the tail rule. Same spec and n give identical values bit for bit.
+    The one definition of the coefficients, and only the named columns are
+    computed. Constant, periodic and table specs take the log and phase of
+    each listed entry once, on first read, then fill or index; formula
+    families evaluate their closed forms over the array. Periodic specs
+    read entry ((n - 1) mod p) + 1; tables past their end follow the tail
+    rule. Same spec and n give identical values bit for bit, whichever
+    columns are named with them. A zero a_n is refused when a or log|a| is
+    read: log|a_n| = -inf exactly where a_n = 0.
     """
+    columns = columns or COLUMNS
+    if not set(columns) <= set(COLUMNS):
+        raise ValueError(f"coefficient columns must be among {COLUMNS}, got {columns}")
     n = np.asarray(n, dtype=np.int64)
     if n.size and n.min() < 1:
         raise IndexError(f"coefficient index must be >= 1, got {int(n.min())}")
     if spec.kind == "formula":
-        out = _formula_arrays(spec.formula, n)
+        out = tuple(_formula_column(spec.formula, n, c) for c in columns)
     elif spec.kind == "constant":
-        out = tuple(np.full(n.shape, c[0]) for c in spec._entry_columns)
+        out = tuple(np.full(n.shape, spec._entry_column(c)[0]) for c in columns)
     elif spec.kind == "periodic":
         k = n % len(spec.period)
         k -= 1
-        out = tuple(c[k] for c in spec._entry_columns)
+        out = tuple(spec._entry_column(c)[k] for c in columns)
     elif spec.kind == "table":
         size = len(spec.table)
         if spec.tail != "repeat" and n.size and n.max() > size:
             raise PastEnd(f"table of length {size} read at n={int(n[n > size][0])} with error tail")
-        out = tuple(c.take(n, mode="clip") for c in spec._entry_columns)
+        out = tuple(spec._entry_column(c).take(n, mode="clip") for c in columns)
     else:
         raise ValueError(f"unknown spec kind {spec.kind!r}")
-    if not out[0].all():  # name the first index whose a_n = 0
-        raise ZeroCoefficient(f"a_{int(n.flat[np.argmax(out[0] == 0)])} = 0")
+    for name, col in zip(columns, out):
+        if name in ("a", "log_abs"):  # name the first index whose a_n = 0
+            zero = col == (0 if name == "a" else -math.inf)
+            if zero.any():
+                raise ZeroCoefficient(f"a_{int(n.flat[np.argmax(zero)])} = 0")
+            break
     return out
 
 
@@ -190,7 +224,7 @@ def validate(spec: CoefficientSpec) -> CoefficientSpec:
             raise EmptyPeriod("table spec has no entries")
         if spec.tail not in TAIL_RULES:
             raise ValueError(f"table tail rule must be one of {TAIL_RULES}, got {spec.tail!r}")
-    a, b, log_mag, _ = spec._entry_columns
+    (a, b), log_mag = spec._entries, spec._log_abs
     if spec.kind == "table":  # slot 0 repeats entry 1
         a, b, log_mag = a[1:], b[1:], log_mag[1:]
     bad = ~(np.isfinite(a) & np.isfinite(b))

@@ -50,6 +50,19 @@ def brute_partial_product(a, m, k):
     return out
 
 
+def closed_form_at(ledger, b, z1, n):
+    """z_n = p(n, 1) z_1 + sum_{j=1}^{n-1} b_j p(n, j+1), for 2 <= n <= horizon + 1.
+    Each summand is exp of a difference of the ledger's prefix logs and
+    phases, the parts summed by math.fsum; b is 1-based padded, as
+    coeffs_upto reads it through coeff_at."""
+    L, th = ledger.logmag, ledger.phase
+    bj = b[1:n]
+    with np.errstate(over="ignore", divide="ignore"):
+        terms = np.exp((L[n] - L[2 : n + 1] + np.log(np.abs(bj))) + 1j * (th[n] - th[2 : n + 1] + np.angle(bj)))
+        head = np.exp(L[n] + 1j * th[n]) * complex(z1)
+    return complex(math.fsum(terms.real) + head.real, math.fsum(terms.imag) + head.imag)
+
+
 def brute_reciprocal_sum(a, n):
     """sum_{j=1}^{n-1} 1 / |p(j, 1)|: products by repeated multiplication,
     summed by math.fsum; a is 1-based padded, of length at least n."""

@@ -8,6 +8,7 @@ from conftest import (
     brute_orbit,
     brute_partial_product,
     brute_residuals,
+    closed_form_at,
     coeffs_upto,
     padded,
     random_disc,
@@ -38,21 +39,23 @@ def test_iterate_period3_from_zero():
 def test_closed_form_hand_values():
     spec = hs.builtin_example("constant", a=2, b=5)
     led = hs.build_ledger(spec, 10)
-    assert hs.closed_form_at(spec, led, 1.0, 3) == pytest.approx(19 + 0j, rel=1e-12)
+    _, b = coeffs_upto(spec, 10)
+    assert closed_form_at(led, b, 1.0, 3) == pytest.approx(19 + 0j, rel=1e-12)
 
     # n = 2 reduces to a_1 z_1 + b_1 for any spec
     rng = np.random.default_rng(5)
     spec2 = random_table_spec(rng, 10)
     led2 = hs.build_ledger(spec2, 10)
     z1 = 0.7 - 0.2j
-    a1, b1 = hs.coeff_at(spec2, 1)
-    assert hs.closed_form_at(spec2, led2, z1, 2) == pytest.approx(a1 * z1 + b1, rel=1e-12)
+    a, b = coeffs_upto(spec2, 10)
+    assert closed_form_at(led2, b, z1, 2) == pytest.approx(a[1] * z1 + b[1], rel=1e-12)
 
     # pure translation: z_n = (n - 1) b from z_1 = 0
     spec3 = hs.builtin_example("constant", a=1, b=2 - 1j)
     led3 = hs.build_ledger(spec3, 100)
+    _, b = coeffs_upto(spec3, 100)
     for n in (2, 17, 100):
-        assert hs.closed_form_at(spec3, led3, 0.0, n) == pytest.approx((n - 1) * (2 - 1j), rel=1e-12)
+        assert closed_form_at(led3, b, 0.0, n) == pytest.approx((n - 1) * (2 - 1j), rel=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -66,8 +69,9 @@ def test_closed_form_equals_iterate(seed):
     traj = hs.iterate(spec, z1, n)
     curve = hs.closed_form_curve(spec, led, z1, n)
     assert np.all(np.abs(curve[1:] - traj.values[1:]) <= 1e-9 * (1 + np.abs(traj.values[1:])))
+    _, b = coeffs_upto(spec, n)
     for m in (2, n // 3, n):
-        got = hs.closed_form_at(spec, led, z1, m)
+        got = closed_form_at(led, b, z1, m)
         assert abs(got - traj.at(m)) <= 1e-9 * (1 + abs(traj.at(m)))
 
 

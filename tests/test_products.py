@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 import hustab as hs
 from conftest import brute_partial_product, brute_reciprocal_sum, brute_tracking_sum, coeffs_upto, random_table_spec
+from hustab.classify import HorizonConfig
 from hustab.errors import BadK, IndexOutOfRange, NonPositiveTerm, ZeroCoefficient
 from hustab.products import scaled_cumsum, wrap_phase
-from hustab.sequences import coeff_full
+from hustab.sequences import coeff_arrays, coeff_full
 from hustab.witness import RECIP_CONVERGED_FRACTION, reciprocal_sum_converged
 
 
@@ -212,9 +213,36 @@ def test_ratio_error_conditions():
 
 
 def test_zero_coefficient_propagates_through_ledger():
+    # The ledger reads log|a| alone, which is -inf exactly where a = 0.
     spec = hs.CoefficientSpec(kind="table", table=((1 + 0j, 0j), (0j, 0j)), tail="repeat")
-    with pytest.raises(ZeroCoefficient):
+    with pytest.raises(ZeroCoefficient, match="a_2 = 0"):
         hs.build_ledger(spec, 5)
+    cycle = hs.CoefficientSpec(kind="periodic", period=np.array([(1 + 0j, 0j), (0j, 0j)]))
+    with pytest.raises(ZeroCoefficient, match="a_2 = 0"):
+        hs.build_ledger(cycle, 5)
+    with pytest.raises(ZeroCoefficient, match="a_2 = 0"):
+        hs.classify(cycle)
+
+
+def test_classify_reads_L_alone_and_theta_is_built_on_first_read():
+    cfg = HorizonConfig(N=3000)
+    table = random_table_spec(np.random.default_rng(8), 500, tail="repeat")
+    for spec in (hs.builtin_example("near_parabolic", alpha=0.25), hs.builtin_example("sparse3_squares"), table):
+        led = hs.build_ledger(spec, cfg.N)
+        hs.classify(spec, cfg, ledger=led)
+        assert "phase" not in led.__dict__
+    assert "_arg" not in table.__dict__
+    cycle = hs.builtin_example("period3_2_i_third")
+    hs.classify(cycle, cfg)
+    assert "_arg" not in cycle.__dict__
+    # the readers of Theta build it: the CSV's column and partial_product
+    led = hs.build_ledger(table, 50)
+    theta = np.cumsum([0.0] + [math.atan2(a.imag, a.real) for a in coeffs_upto(table, 50)[0][1:]])
+    rows = [line.split(",") for line in led.to_csv().splitlines()[1:]]
+    assert [float(r[2]) for r in rows] == theta.tolist()
+    led = hs.build_ledger(cycle, 10)
+    assert hs.partial_product(led, 3, 2).phase == pytest.approx(math.pi / 2, abs=1e-14)
+    assert "phase" in led.__dict__
 
 
 def test_key_lemma_one_finite_horizon():
@@ -293,7 +321,8 @@ def test_scaled_cumsum_below_underflow():
 
 def test_ledger_sums_coeff_full_logs_exactly():
     # The vectorized ledger must equal the sequential sums of the per-index
-    # logs and phases bit for bit: L_{n+1} = L_n + log|a_n| with == .
+    # logs and phases bit for bit: L_{n+1} = L_n + log|a_n| with == . The
+    # ledger holds no a or b; the two-column read must match coeff_full.
     rng = np.random.default_rng(5)
     N = 5000
     specs = [hs.builtin_example(name) for name in hs.BUILTIN_NAMES]
@@ -305,9 +334,10 @@ def test_ledger_sums_coeff_full_logs_exactly():
     for spec in specs:
         led = hs.build_ledger(spec, N)
         assert led.logmag[1] == 0.0 and led.phase[1] == 0.0
+        a_col, b_col = coeff_arrays(spec, np.arange(1, N + 1), "a", "b")
         for n in range(1, N + 1):
             a, b, log_mag, angle = coeff_full(spec, n)
-            assert (led.a[n], led.b[n]) == (a, b)
+            assert (a_col[n - 1], b_col[n - 1]) == (a, b)
             assert led.logmag[n + 1] == led.logmag[n] + log_mag
             assert led.phase[n + 1] == led.phase[n] + angle
 

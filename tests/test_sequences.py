@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 import hustab as hs
 from hustab.errors import EmptyPeriod, InvalidSpec, PastEnd, UnknownExample, ZeroCoefficient
 from hustab.sequences import (
+    COLUMNS,
     CoefficientSpec,
     _entries_from_lists,
+    coeff_arrays,
     coeff_full,
     spec_from_json,
     spec_to_json,
@@ -271,7 +273,7 @@ _WIRE_NUMBERS = st.one_of(
 def test_entry_columns_bit_identical_to_per_entry_oracle(pairs):
     naive = tuple(naive_pair_from_list(p) for p in pairs)
     spec = CoefficientSpec(kind="table", table=_entries_from_lists(pairs), tail="repeat")
-    got = [c[1:] for c in spec._entry_columns]  # slot 0 repeats entry 1
+    got = [spec._entry_column(c)[1:] for c in COLUMNS]  # slot 0 repeats entry 1
     # the per-entry oracle's abs raises where a finite a's modulus overflows;
     # the new columns hold log|a| = inf there, which validate refuses
     fits = np.array([_modulus_fits(a) for a, _ in naive])
@@ -309,7 +311,8 @@ def test_spec_to_json_round_trips_byte_for_byte(pairs, kind):
     assert json.dumps(spec_to_json(spec)) == text
     # the columns match the per-entry oracle on what validate accepts
     want = naive_entry_columns(tuple(naive_pair_from_list(p) for p in pairs))
-    columns = spec._entry_columns if kind == "periodic" else [c[1:] for c in spec._entry_columns]
+    start = 1 if kind == "table" else 0  # a table's slot 0 repeats entry 1
+    columns = [spec._entry_column(c)[start:] for c in COLUMNS]
     for got, exp in zip(columns, want):
         assert (_bits(got) == _bits(exp)).all()
 
@@ -348,3 +351,49 @@ def test_first_of_two_malformed_pairs_is_named():
     pairs[200] = [1, 2, 3, None]
     with pytest.raises(InvalidSpec, match=r"got \[1, 2, 3, None\]$"):
         spec_from_json({"kind": "table", "table": pairs})
+
+
+_ENTRY = st.tuples(
+    st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=1e3, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["constant", "periodic", "table_repeat", "table_error", "near_parabolic", "sparse3_squares"]),
+    data=st.data(),
+)
+def test_each_column_read_alone_matches_the_four_column_read(kind, data):
+    # Every spec kind, index arrays that cross a cycle's wrap and a table's
+    # tail: a column read alone is the same column of the full read, bit for
+    # bit, and an error tail refuses both reads alike.
+    entries = data.draw(st.lists(_ENTRY, min_size=1, max_size=6))
+    if kind == "constant":
+        spec = hs.constant_spec(*entries[0])
+    elif kind == "periodic":
+        spec = hs.periodic_spec(entries)
+    elif kind.startswith("table"):
+        spec = hs.table_spec(entries, tail=kind.split("_")[1])
+    elif kind == "near_parabolic":
+        spec = hs.builtin_example(kind, alpha=data.draw(st.floats(-1e6, 1e6)))
+    else:
+        spec = hs.builtin_example(kind)
+    top = 10**7 if spec.kind == "formula" else 3 * len(entries) + 3
+    n = np.array(data.draw(st.lists(st.integers(1, top), max_size=40)), dtype=np.int64)
+    if kind == "table_error" and n.size and n.max() > len(entries):
+        for names in [(), *((c,) for c in COLUMNS)]:
+            with pytest.raises(PastEnd):
+                coeff_arrays(spec, n, *names)
+        return
+    full = coeff_arrays(spec, n)
+    assert len(full) == len(COLUMNS)
+    for name, want in zip(COLUMNS, full):
+        (got,) = coeff_arrays(spec, n, name)
+        assert got.dtype == want.dtype and got.shape == want.shape == n.shape
+        assert (_bits(got.view(float)) == _bits(want.view(float))).all()
+
+
+def test_unknown_column_refused():
+    with pytest.raises(ValueError, match="columns"):
+        coeff_arrays(hs.builtin_example("sparse3_squares"), [1, 2], "phase")
