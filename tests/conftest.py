@@ -5,6 +5,7 @@ summation, direct recursion) so they stay independent of the log-domain
 paths they check.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -134,11 +135,18 @@ def naive_pair_from_list(vals):
     return complex(re_a, im_a), complex(re_b, im_b)
 
 
+def naive_abs(a):
+    """Python's abs of a complex a. CPython's abs of an a with a NaN part
+    reads a stale errno, so it raises OverflowError when the abs before it
+    overflowed; math.hypot gives the C99 modulus (inf or NaN) there."""
+    return abs(a) if cmath.isfinite(a) else math.hypot(a.real, a.imag)
+
+
 def naive_entry_columns(pairs):
     """(a, b, log|a|, arg a) of a tuple of (complex, complex) pairs, in
     listed order: one Python abs, math.log and math.atan2 per entry."""
     n = len(pairs)
-    log_mag = np.fromiter((math.log(abs(a)) if a else -math.inf for a, _ in pairs), float, n)
+    log_mag = np.fromiter((math.log(naive_abs(a)) if a else -math.inf for a, _ in pairs), float, n)
     # math.atan2 is cmath.phase without its refusal of a subnormal angle
     phase = np.fromiter((math.atan2(a.imag, a.real) for a, _ in pairs), float, n)
     a = np.fromiter((x for x, _ in pairs), complex, n)

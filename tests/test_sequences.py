@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import naive_entry_columns, naive_pair_from_list
+from conftest import naive_abs, naive_entry_columns, naive_pair_from_list
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -250,7 +250,7 @@ def _bits(x):
 
 def _modulus_fits(a):
     try:
-        abs(a)
+        naive_abs(a)
     except OverflowError:
         return False
     return True
@@ -270,6 +270,7 @@ _WIRE_NUMBERS = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(pairs=st.lists(st.lists(_WIRE_NUMBERS, min_size=4, max_size=4), min_size=1, max_size=12))
 @example(pairs=[[2**53 + 1, 2**63 + 1, 3 * 2**64 + 1, 10**308], [-0.0, 5e-324, 1e308, -1e308]])
+@example(pairs=[[1.5e308, 10**308, 0, 0], [0.0, math.nan, 0, 0]])  # a NaN part right after an overflow
 def test_entry_columns_bit_identical_to_per_entry_oracle(pairs):
     naive = tuple(naive_pair_from_list(p) for p in pairs)
     spec = CoefficientSpec(kind="table", table=_entries_from_lists(pairs), tail="repeat")
