@@ -27,14 +27,9 @@ from .dynamics import (
     shadow_expanding,
 )
 from .products import (
-    PartialProduct,
     PartialProductLedger,
-    balance_ratio,
     build_ledger,
     geometric_mean_exponent,
-    partial_product,
-    subexponential_ratio,
-    tracking_sum,
     tracking_sum_max,
 )
 from .sequences import (
@@ -42,7 +37,6 @@ from .sequences import (
     CoefficientSpec,
     builtin_example,
     coeff_arrays,
-    coeff_at,
     constant_spec,
     periodic_spec,
     spec_from_json,

@@ -34,17 +34,6 @@ STABLE = "Stable"
 UNSTABLE = "Unstable"
 UNDETERMINED = "Undetermined"
 
-CRITERIA = (
-    "periodic_contracting",
-    "periodic_expanding",
-    "periodic_unimodular",
-    "bounded_tracking_sum",
-    "geomean_subexponential",
-    "geomean_expanding",
-    "geomean_contracting",
-    "bounded_products",
-    "linear_growth_products",
-)
 EXPANDING_CRITERIA = frozenset({"periodic_expanding", "geomean_expanding"})
 UNSTABLE_CRITERIA = frozenset({"geomean_subexponential", "bounded_products", "linear_growth_products"})
 
@@ -223,7 +212,7 @@ def classify_numeric(
     g = L[w0 : N + 1] / ns
     gmin, gmax = float(np.min(g)), float(np.max(g))
     del g  # at most one full-length temporary lives beside the ledger
-    _, log_sup_track = tracking_sum_max(ledger, N, log=True)
+    log_sup_track = tracking_sum_max(ledger, N)
     with np.errstate(over="ignore"):
         sup_track = float(np.exp(log_sup_track))
     log_sup_p = float(np.max(L[1 : N + 1]))

@@ -87,11 +87,13 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
     spec = _build_spec(cfg)
     traj = dynamics.iterate(spec, cfg.z1, cfg.horizon)
     csv_text = dynamics.trajectory_csv(traj)
+    final = complex(traj.values[-1])
     summary = {
         "command": "simulate",
         "n": cfg.horizon,
         "z1": [cfg.z1.real, cfg.z1.imag],
-        "final": [traj.values[-1].real, traj.values[-1].imag],
+        # JSON has no infinity or NaN: an orbit that left float range has no final value
+        "final": [final.real, final.imag] if cmath.isfinite(final) else None,
     }
     _emit(cfg, csv_text, summary)
     return 0

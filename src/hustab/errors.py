@@ -31,14 +31,6 @@ class IndexOutOfRange(StabilityToolError):
     """Index lies outside the materialized horizon."""
 
 
-class NonPositiveTerm(StabilityToolError):
-    """Ratio statistics require strictly positive sequence terms."""
-
-
-class BadK(StabilityToolError):
-    """Balance ratio requires a base K > 1."""
-
-
 class TailNotConvergent(StabilityToolError):
     """Reciprocal-product tail cannot be bounded at this horizon."""
 

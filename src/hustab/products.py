@@ -3,10 +3,10 @@
 The ledger stores prefix sums of log|a_j|, and of arg(a_j) once read, so
 that |p(m, k)| = exp(L_m - L_k) never has to be formed from a linear-scale
 product of many factors: for |a| = 2 the product leaves binary64 range
-near m = 1000. Linear values are materialized only on demand and flagged
-when they fall outside the representable range. Phase is accumulated
-unreduced in binary64 and reduced to (-pi, pi] on read; its error grows
-like O(n ulp), which none of the magnitude criteria depend on.
+near m = 1000. Readers work with differences of these sums, and sum
+series of products in log space or through scaled_cumsum. Phase is
+accumulated unreduced in binary64; its error grows like O(n ulp), which
+none of the magnitude criteria depend on.
 
 Array convention throughout the package: slot k of an index-aligned array
 holds the subscript-k quantity; slot 0 is padding.
@@ -23,52 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BadK, IndexOutOfRange, NonPositiveTerm
+from .errors import IndexOutOfRange
 from .sequences import CoefficientSpec, coeff_arrays
-
-_LOG_MAX = math.log(np.finfo(float).max)  # ~709.78
-TWO_PI = 2.0 * math.pi
-
-
-def wrap_phase(theta):
-    """Reduce an angle (array or scalar) to (-pi, pi]."""
-    w = np.remainder(theta, TWO_PI)
-    return np.where(w > math.pi, w - TWO_PI, w) if np.ndim(w) else (w - TWO_PI if w > math.pi else w)
-
-
-def _logsumexp(x: np.ndarray) -> float:
-    """Accurate log(sum(exp(x))) with compensated summation of the mantissas."""
-    m = float(np.max(x))
-    if not math.isfinite(m):
-        return m
-    return m + math.log(math.fsum(np.exp(x - m)))
-
-
-@dataclass(frozen=True)
-class PartialProduct:
-    """A partial product as log-magnitude plus reduced phase.
-
-    `value` is the best-effort linear-scale complex number; it degrades to
-    0 or a complex infinity outside binary64 range, in which case
-    `in_float_range` is False.
-    """
-
-    log_mag: float
-    phase: float
-
-    @property
-    def in_float_range(self) -> bool:
-        return -_LOG_MAX < self.log_mag < _LOG_MAX
-
-    @property
-    def value(self) -> complex:
-        if self.log_mag >= _LOG_MAX:
-            mag = math.inf
-        elif self.log_mag <= -_LOG_MAX:
-            mag = 0.0
-        else:
-            mag = math.exp(self.log_mag)
-        return complex(mag * math.cos(self.phase), mag * math.sin(self.phase))
 
 
 @dataclass(frozen=True)
@@ -91,9 +47,6 @@ class PartialProductLedger:
     @cached_property
     def phase(self) -> np.ndarray:
         return _prefix_sums(self.spec, self.horizon, "arg")
-
-    def to_csv(self) -> str:
-        return _csv_text("n,L_n,Theta_n", np.arange(1, self.horizon + 2), self.logmag[1:], self.phase[1:])
 
 
 # Fewest rows a forked slice gets. Forking, binding and reaping a child and
@@ -243,23 +196,9 @@ def _prefix_sums(spec: CoefficientSpec, horizon: int, column: str) -> np.ndarray
     return sums
 
 
-def _check_index(ledger: PartialProductLedger, n: int, low: int, high: int, what: str) -> None:
+def _check_index(n: int, low: int, high: int, what: str) -> None:
     if not low <= n <= high:
         raise IndexOutOfRange(f"{what}={n} outside [{low}, {high}]")
-
-
-def partial_product(ledger: PartialProductLedger, m: int, k: int) -> PartialProduct:
-    """p(m, k) with 1 <= k <= m <= horizon + 1; p(m, m) = 1 (empty product).
-
-    Satisfies the quotient identity p(m, k) = p(m, 1) / p(k, 1) by
-    construction: the log-magnitude is L_m - L_k and the phase is
-    Theta_m - Theta_k.
-    """
-    _check_index(ledger, k, 1, ledger.horizon + 1, "k")
-    _check_index(ledger, m, k, ledger.horizon + 1, "m")
-    log_mag = float(ledger.logmag[m] - ledger.logmag[k])
-    ph = float(wrap_phase(ledger.phase[m] - ledger.phase[k]))
-    return PartialProduct(log_mag=log_mag, phase=ph)
 
 
 def geometric_mean_exponent(ledger: PartialProductLedger, n: int) -> float:
@@ -268,77 +207,24 @@ def geometric_mean_exponent(ledger: PartialProductLedger, n: int) -> float:
     Its sign regime over large n (negative / inside a small band around 0 /
     positive) drives the stability trichotomy.
     """
-    _check_index(ledger, n, 2, ledger.horizon + 1, "n")
+    _check_index(n, 2, ledger.horizon + 1, "n")
     return float(ledger.logmag[n]) / n
 
 
-def tracking_sum(ledger: PartialProductLedger, n: int) -> float:
-    """sum_{j=1}^{n} |p(n+1, j+1)| = 1 + |a_n| + |a_n a_{n-1}| + ...
-
-    Each term is exp of a difference of prefix logs, summed with
-    compensated summation; sums of 1e4+ exponentially disparate terms are
-    the normal case here. Returns inf only when the true value exceeds
-    binary64 range.
-    """
-    _check_index(ledger, n, 1, ledger.horizon, "n")
-    L = ledger.logmag
-    with np.errstate(over="ignore"):
-        terms = np.exp(L[n + 1] - L[2 : n + 2])
-    return math.fsum(terms)
-
-
-def tracking_sum_max(ledger: PartialProductLedger, upto: int, *, log: bool = False) -> tuple[int, float]:
-    """(argmax, max) of tracking_sum over n = 1..upto, in O(upto).
+def tracking_sum_max(ledger: PartialProductLedger, upto: int) -> float:
+    """log of the largest tracking sum T_n = sum_{j=1}^{n} |p(n+1, j+1)|
+    = 1 + |a_n| + |a_n a_{n-1}| + ... over n = 1..upto, in O(upto).
 
     Streamed as log T_n = L_{n+1} + log sum_{j<=n} exp(-L_{j+1}) with a
-    running log-sum-exp, so the scan never leaves log space. With log set
-    the max is returned as its log, which stays finite where the linear
-    value overflows to inf. Ties resolve to the smallest n.
+    running log-sum-exp, so the scan never leaves log space and the result
+    stays finite where the linear value overflows to inf.
     """
-    _check_index(ledger, upto, 1, ledger.horizon, "upto")
+    _check_index(upto, 1, ledger.horizon, "upto")
     L = ledger.logmag
     log_t = np.negative(L[2 : upto + 2])  # the one full-length array, worked in place
     np.logaddexp.accumulate(log_t, out=log_t)
     log_t += L[2 : upto + 2]
-    i = int(np.argmax(log_t))
-    if log:
-        return i + 1, float(log_t[i])
-    with np.errstate(over="ignore"):
-        return i + 1, float(np.exp(log_t[i]))
-
-
-def subexponential_ratio(t, n: int) -> float:
-    """t_n / sum_{j=1}^{n-1} t_j for a positive sequence t (t[0] = t_1).
-
-    The ratio tends to 0 exactly when t grows subexponentially; it stays
-    bounded away from 0 for geometric growth. Computed in log space so
-    t may span the full positive float range.
-    """
-    t = np.asarray(t, dtype=float)
-    if n < 2 or len(t) < n:
-        raise IndexOutOfRange(f"need n >= 2 and at least n terms, got n={n}, len={len(t)}")
-    if np.any(t[:n] <= 0) or not np.all(np.isfinite(t[:n])):
-        raise NonPositiveTerm("sequence terms must be positive finite reals")
-    log_t = np.log(t[:n])
-    return math.exp(log_t[n - 1] - _logsumexp(log_t[: n - 1]))
-
-
-def balance_ratio(t, K: float, n: int) -> float:
-    """t_n K^n / sum_{j=1}^{n-1} t_j K^j for K > 1 (t[0] = t_1).
-
-    Tends to K - 1 exactly when t_n^{1/n} -> 1. Computed in log space;
-    K^n alone overflows binary64 long before n reaches typical horizons.
-    """
-    if K <= 1:
-        raise BadK(f"K must exceed 1, got {K}")
-    t = np.asarray(t, dtype=float)
-    if n < 2 or len(t) < n:
-        raise IndexOutOfRange(f"need n >= 2 and at least n terms, got n={n}, len={len(t)}")
-    if np.any(t[:n] <= 0) or not np.all(np.isfinite(t[:n])):
-        raise NonPositiveTerm("sequence terms must be positive finite reals")
-    log_k = math.log(K)
-    weighted = np.log(t[:n]) + log_k * np.arange(1, n + 1)
-    return math.exp(weighted[n - 1] - _logsumexp(weighted[: n - 1]))
+    return float(np.max(log_t))
 
 
 def scaled_cumsum(log_mag: np.ndarray, phase: np.ndarray, cuts=()):

@@ -5,7 +5,7 @@ from n = 1. Four kinds exist: a single constant pair, a periodic list, a
 named formula family, and a finite table with an explicit tail rule.
 coeff_arrays is the one definition of the coefficients: it returns the
 columns a reader names, out of a_n, b_n, log|a_n| and arg a_n, over a whole
-index array, and every other reader (coeff_at, coeff_full, the ledger, the
+index array, and every reader (the ledger, the cycle classifier, the
 orbits) goes through it. Only the named columns are computed. Formula
 families give log|a_n| from its exact closed form, so log-domain
 accumulation does not have to go through exp/log round trips.
@@ -182,17 +182,6 @@ def coeff_arrays(spec: CoefficientSpec, n, *columns: str) -> tuple[np.ndarray, .
                 raise ZeroCoefficient(f"a_{int(n.flat[np.argmax(zero)])} = 0")
             break
     return out
-
-
-def coeff_full(spec: CoefficientSpec, n: int) -> tuple[complex, complex, float, float]:
-    """(a_n, b_n, log|a_n|, arg a_n) for index n >= 1: one element of coeff_arrays."""
-    a, b, log_mag, angle = coeff_arrays(spec, [n])
-    return complex(a[0]), complex(b[0]), float(log_mag[0]), float(angle[0])
-
-
-def coeff_at(spec: CoefficientSpec, n: int) -> Pair:
-    """Exact coefficient pair (a_n, b_n) for index n >= 1."""
-    return coeff_full(spec, n)[:2]
 
 
 def validate(spec: CoefficientSpec) -> CoefficientSpec:

@@ -1,12 +1,12 @@
 """Adversarial perturbations witnessing instability, and the exact
 best-shadow oracle used as ground truth.
 
-The witness plans realize the instability constructions: a constant
-budget-saturating r_n for real positive coefficients, the phase-aligned
-r_j = epsilon p(j+1, 1) / |p(j+1, 1)| that turns the error series
-p(n+1, 1) [ (w_1 - z_1) + sum_j r_j / p(j+1, 1) ] + r_n into a real,
-positive, maximal sum, and the product-scaled r_n = (C epsilon / M) p(n, 1)
-with M the product supremum over the horizon. Divergence is evidenced
+The witness plans realize the instability constructions: the
+phase-aligned r_j = epsilon p(j+1, 1) / |p(j+1, 1)| that turns the error
+series p(n+1, 1) [ (w_1 - z_1) + sum_j r_j / p(j+1, 1) ] + r_n into a real,
+positive, maximal sum (on real positive products it is the constant
+r_j = epsilon), and the product-scaled r_n = (C epsilon / M) p(n, 1) with
+M the product supremum over the horizon. Divergence is evidenced
 operationally: the min-max value of the best shadow over doubling
 horizons grows without bound, matching the n p(n, 1) growth mechanism of
 the accumulated residuals.
@@ -32,8 +32,6 @@ from .products import (
 from .sequences import CoefficientSpec
 
 _LN10 = math.log(10.0)
-
-PLAN_VARIANTS = ("constant_eps", "phase_aligned", "scaled_product")
 
 # Fraction of the reciprocal-product sum allowed to arrive in the second
 # half of the horizon before the sum counts as convergent. A convergent
@@ -88,15 +86,17 @@ class DivergenceCurve:
     ns: np.ndarray
     values: np.ndarray
 
-    def growth_factor(self) -> tuple[int, int, float]:
+    def growth_factor(self) -> tuple[int, int, float | None]:
         """(from_n, to_n, factor) comparing the last prefix to the one
-        nearest a quarter of it."""
+        nearest a quarter of it. The factor is None where the earlier value
+        is 0 and the last is not: the ratio has no finite value, and JSON
+        prints None as null."""
         to_n = int(self.ns[-1])
         target = to_n / 4.0
         i = int(np.argmin(np.abs(self.ns.astype(float) - target)))
         from_n, from_v, to_v = int(self.ns[i]), float(self.values[i]), float(self.values[-1])
         if from_v == 0.0:
-            return from_n, to_n, (1.0 if to_v == 0.0 else math.inf)
+            return from_n, to_n, (1.0 if to_v == 0.0 else None)
         return from_n, to_n, to_v / from_v
 
     def to_csv(self) -> str:
@@ -120,7 +120,6 @@ def make_witness(
     ledger: PartialProductLedger,
     criterion: str,
     epsilon: float,
-    variant: str | None = None,
 ) -> PerturbationPlan:
     """Build the perturbation plan matching an Unstable criterion.
 
@@ -129,35 +128,14 @@ def make_witness(
     get the phase-aligned plan, except that a numerically convergent
     reciprocal-product sum (products growing, just subexponentially)
     starves phase alignment of its linear divergence, so the
-    product-scaled plan is used there as well. constant_eps can be
-    requested explicitly for specs whose partial products are real and
-    positive, where it coincides with phase alignment.
+    product-scaled plan is used there as well.
     """
     if criterion not in UNSTABLE_CRITERIA:
         raise NotUnstable(f"{criterion!r} is not an instability criterion")
-    if variant is not None:
-        if variant not in PLAN_VARIANTS:
-            raise ValueError(f"unknown plan variant {variant!r}")
-        if variant == "constant_eps" and not _real_positive_products(ledger):
-            raise ValueError("constant_eps needs real positive partial products")
-        if variant == "scaled_product":
-            return _scaled_plan(ledger, epsilon)
-        return PerturbationPlan(variant=variant, epsilon=float(epsilon))
-    if criterion == "linear_growth_products":
-        return _scaled_plan(ledger, epsilon)
-    if reciprocal_sum_converged(ledger):
-        return _scaled_plan(ledger, epsilon)
+    if criterion == "linear_growth_products" or reciprocal_sum_converged(ledger):
+        log_m = float(np.max(ledger.logmag[1:]))  # log sup_n |p(n, 1)|
+        return PerturbationPlan(variant="scaled_product", epsilon=float(epsilon), C=1.0, log_M=log_m)
     return PerturbationPlan(variant="phase_aligned", epsilon=float(epsilon))
-
-
-def _scaled_plan(ledger: PartialProductLedger, epsilon: float, C: float = 1.0) -> PerturbationPlan:
-    log_m = float(np.max(ledger.logmag[1:]))  # log sup_n |p(n, 1)|
-    return PerturbationPlan(variant="scaled_product", epsilon=float(epsilon), C=C, log_M=log_m)
-
-
-def _real_positive_products(ledger: PartialProductLedger) -> bool:
-    ph = ledger.phase[1:]
-    return bool(np.max(np.abs(np.remainder(ph + math.pi, 2 * math.pi) - math.pi)) < 1e-12)
 
 
 def _clip_budget(r: np.ndarray, epsilon: float) -> np.ndarray:
@@ -176,9 +154,7 @@ def realize_plan(plan: PerturbationPlan, ledger: PartialProductLedger, N: int) -
     eps = plan.epsilon
     r = np.empty(N, dtype=complex)
     r[0] = np.nan
-    if plan.variant == "constant_eps":
-        r[1:] = eps
-    elif plan.variant == "phase_aligned":
+    if plan.variant == "phase_aligned":
         # r_j = eps * p(j+1, 1) / |p(j+1, 1)|: unit-modulus phase rotations
         r[1:] = eps * np.exp(1j * ledger.phase[2 : N + 1])
     elif plan.variant == "scaled_product":

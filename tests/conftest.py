@@ -12,6 +12,7 @@ import numpy as np
 
 import hustab as hs
 from hustab.errors import InvalidSpec
+from hustab.sequences import coeff_arrays
 
 
 def random_table_spec(rng, n, amin=0.25, amax=4.0, bmax=10.0, tail="repeat"):
@@ -32,12 +33,26 @@ def padded(values):
     return np.concatenate([[np.nan], np.asarray(values, dtype=complex)])
 
 
+def coeff_at(spec, n):
+    """(a_n, b_n) for index n >= 1: one element of the a and b columns of
+    coeff_arrays, so no log or phase of a listed entry is taken."""
+    a, b = coeff_arrays(spec, [n], "a", "b")
+    return complex(a[0]), complex(b[0])
+
+
+def coeff_full(spec, n):
+    """(a_n, b_n, log|a_n|, arg a_n) for index n >= 1: one element of all
+    four columns of coeff_arrays."""
+    a, b, log_mag, angle = coeff_arrays(spec, [n])
+    return complex(a[0]), complex(b[0]), float(log_mag[0]), float(angle[0])
+
+
 def coeffs_upto(spec, n):
     """a and b as 1-based padded arrays, via coeff_at only."""
     a = [np.nan]
     b = [np.nan]
     for j in range(1, n + 1):
-        aj, bj = hs.coeff_at(spec, j)
+        aj, bj = coeff_at(spec, j)
         a.append(aj)
         b.append(bj)
     return np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
@@ -83,6 +98,28 @@ def brute_tracking_sum(a, n):
         prod *= abs(a[j])
         total += prod
     return total
+
+
+def _log_sum_exp(x):
+    """log sum exp(x), the mantissas summed by math.fsum."""
+    top = float(np.max(x))
+    return top + math.log(math.fsum(np.exp(x - top)))
+
+
+def subexponential_ratio(t, n):
+    """t_n / sum_{j=1}^{n-1} t_j for a positive sequence t (t[0] = t_1).
+    It tends to 0 exactly when t grows subexponentially. Taken in log
+    space, so t may span the whole positive float range."""
+    log_t = np.log(np.asarray(t[:n], dtype=float))
+    return math.exp(log_t[n - 1] - _log_sum_exp(log_t[: n - 1]))
+
+
+def balance_ratio(t, K, n):
+    """t_n K^n / sum_{j=1}^{n-1} t_j K^j for K > 1 (t[0] = t_1). It tends
+    to K - 1 exactly when t_n^(1/n) -> 1. Taken in log space: K^n
+    overflows binary64 at n = 1000."""
+    weighted = np.log(np.asarray(t[:n], dtype=float)) + math.log(K) * np.arange(1, n + 1)
+    return math.exp(weighted[n - 1] - _log_sum_exp(weighted[: n - 1]))
 
 
 def brute_orbit(a, b, x1, upto, r=None):

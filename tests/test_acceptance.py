@@ -12,7 +12,15 @@ import time
 import numpy as np
 
 import hustab as hs
-from conftest import closed_form_at, coeffs_upto, padded, random_disc, random_table_spec
+from conftest import (
+    balance_ratio,
+    closed_form_at,
+    coeffs_upto,
+    padded,
+    random_disc,
+    random_table_spec,
+    subexponential_ratio,
+)
 from hustab.classify import STABLE, UNSTABLE
 
 
@@ -99,7 +107,7 @@ def test_criterion_3_period3_worked_bound():
     led = hs.build_ledger(spec, N)
     res = hs.shadow_contracting(orbit, spec, led)
     ok = ok and res.sup_error <= 16 * 1e-2 and res.trajectory.z1 == orbit.w1
-    _, sup_track = hs.tracking_sum_max(led, N)
+    sup_track = math.exp(hs.tracking_sum_max(led, N))
     ok = ok and sup_track < 16.0
     elapsed = time.time() - t0
     _report("3 period-3 worked bound", ok and elapsed < 10.0,
@@ -205,12 +213,12 @@ def test_criterion_7_key_lemma_finite_horizon():
         "sqrt(n)": np.sqrt(js),
         "exp(sqrt(n))": np.exp(np.sqrt(js)),
     }
-    worst_sub = max(hs.subexponential_ratio(t, n) for t in families.values())
+    worst_sub = max(subexponential_ratio(t, n) for t in families.values())
     ok = worst_sub <= 0.05
     worst_bal = 0.0
     for t in (np.ones(n), js, 1.0 / js):
         for K in (1.5, 2.0, 4.0):
-            err = abs(hs.balance_ratio(t, K, n) - (K - 1.0)) / (K - 1.0)
+            err = abs(balance_ratio(t, K, n) - (K - 1.0)) / (K - 1.0)
             worst_bal = max(worst_bal, err)
     ok = ok and worst_bal <= 0.05
     _report("7 key-lemma finite-horizon checks", ok,

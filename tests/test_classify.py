@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
+from conftest import coeff_at
 from hustab.classify import (
     EXPANDING_CRITERIA,
     STABLE,
@@ -112,7 +113,7 @@ def test_periodic_and_numeric_agree_on_builtins():
         exact = hs.classify_periodic(spec, cfg)
         # rebuild as an aperiodic-looking table so the numeric path runs
         table = hs.table_spec(
-            [hs.coeff_at(spec, n) for n in range(1, cfg.N + 2)], tail="error"
+            [coeff_at(spec, n) for n in range(1, cfg.N + 2)], tail="error"
         )
         led = hs.build_ledger(table, cfg.N)
         numeric = hs.classify_numeric(table, led, cfg)

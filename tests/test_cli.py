@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import runpy
 import warnings
 
 import numpy as np
@@ -9,8 +10,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
+from conftest import coeff_at, coeff_full
 from hustab.cli import main
-from hustab.sequences import coeff_full
 
 
 def run(capsys, *argv):
@@ -290,6 +291,28 @@ def test_witness_alternating_growth(capsys, tmp_path):
     assert lines[0] == "n,d_n,log10_d_n"
 
 
+def test_witness_growth_from_a_met_prefix_prints_null(capsys):
+    # At N = 8 the prefix nearest N / 4 is n = 2, whose one constraint the
+    # best shadow meets exactly: a ratio from d_2 = 0 has no value.
+    code, out, _ = run(capsys, "witness", "--builtin", "alternating_2_half", "--epsilon", "1", "--horizon", "8")
+    assert code == 0
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert (doc["growth_from_n"], doc["growth_factor"]) == (2, None)
+    assert doc["final_divergence"] > 0.0
+
+
+def test_divergence_growth_script_prints_null_growth(tmp_path, capsys, monkeypatch):
+    script = os.path.join(os.path.dirname(__file__), "..", "scripts", "divergence_growth.py")
+    monkeypatch.setattr("sys.argv", [script, "--horizon", "8", "--outdir", str(tmp_path)])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(script, run_name="__main__")
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 4
+    for line in lines:
+        assert json.loads(line, parse_constant=_reject_constant)["growth_factor"] is None
+
+
 def test_examples_single_round_trip(tmp_path, capsys):
     path = tmp_path / "np.json"
     code, _, _ = run(capsys, "examples", "--builtin", "near_parabolic",
@@ -298,7 +321,7 @@ def test_examples_single_round_trip(tmp_path, capsys):
     reloaded = hs.spec_from_json(json.loads(path.read_text()))
     original = hs.builtin_example("near_parabolic", alpha=0.25)
     for n in range(1, 1001):
-        assert hs.coeff_at(reloaded, n) == hs.coeff_at(original, n)
+        assert coeff_at(reloaded, n) == coeff_at(original, n)
 
 
 def test_examples_catalog_round_trips_every_builtin(capsys):
@@ -310,7 +333,7 @@ def test_examples_catalog_round_trips_every_builtin(capsys):
         reloaded = hs.spec_from_json(doc)
         original = hs.builtin_example(name)
         for n in range(1, 1001, 37):
-            assert hs.coeff_at(reloaded, n) == hs.coeff_at(original, n)
+            assert coeff_at(reloaded, n) == coeff_at(original, n)
 
 
 def test_simulate_csv(capsys):
@@ -318,6 +341,32 @@ def test_simulate_csv(capsys):
                        "--z1", "1", "--horizon", "3", "--format", "csv")
     assert code == 0
     assert out == "n,re_z,im_z\n1,1.0,0.0\n2,7.0,0.0\n3,19.0,0.0\n"
+
+
+def test_simulate_final_is_null_past_float_range(capsys):
+    argv = ["simulate", "--builtin", "constant", "--a", "2", "--b", "5"]
+    code, out, _ = run(capsys, *argv, "--horizon", "20")
+    assert code == 0
+    assert json.loads(out)["final"] == [5.0 * (2.0**19 - 1.0), 0.0]
+    # z_n = 5 (2^(n-1) - 1) passes float range near n = 1020 and the orbit
+    # ends in NaN, which JSON cannot hold
+    code, out, _ = run(capsys, *argv, "--horizon", "2000")
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)["final"] is None
+
+
+def test_public_names_are_pinned():
+    # A name joins the package surface only with a caller outside the tests.
+    assert sorted(hs.__all__) == [
+        "BUILTIN_NAMES", "CoefficientSpec", "DivergenceCurve", "HorizonConfig", "OracleResult",
+        "PartialProductLedger", "PerturbationPlan", "PerturbedOrbit", "ResidualLedger", "ShadowResult",
+        "StabilityVerdict", "Trajectory", "best_shadow_oracle", "build_ledger", "builtin_example", "classify",
+        "classify_numeric", "classify_periodic", "closed_form_curve", "coeff_arrays", "constant_spec",
+        "dynamics", "errors", "geometric_mean_exponent", "iterate", "make_witness", "periodic_spec",
+        "perturbed_orbit", "products", "realize_plan", "residual_ledger", "run_witness",
+        "second_order_reduce", "sequences", "shadow_contracting", "shadow_expanding", "spec_from_json",
+        "spec_to_json", "table_spec", "tracking_sum_max", "validate", "witness",
+    ]
 
 
 def test_bad_command_line_exits_2(capsys):

@@ -6,11 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
-from conftest import brute_partial_product, brute_reciprocal_sum, brute_tracking_sum, coeffs_upto, random_table_spec
+from conftest import (
+    balance_ratio,
+    brute_partial_product,
+    brute_reciprocal_sum,
+    brute_tracking_sum,
+    coeff_full,
+    coeffs_upto,
+    random_table_spec,
+    subexponential_ratio,
+)
 from hustab.classify import HorizonConfig
-from hustab.errors import BadK, IndexOutOfRange, NonPositiveTerm, ZeroCoefficient
-from hustab.products import scaled_cumsum, wrap_phase
-from hustab.sequences import coeff_arrays, coeff_full
+from hustab.errors import IndexOutOfRange, ZeroCoefficient
+from hustab.products import scaled_cumsum
+from hustab.sequences import coeff_arrays
 from hustab.witness import RECIP_CONVERGED_FRACTION, reciprocal_sum_converged
 
 
@@ -22,11 +31,14 @@ def test_alternating_product_magnitudes():
 
 
 def test_empty_product_is_one():
-    led = hs.build_ledger(hs.builtin_example("constant", a=3, b=1), 10)
-    p = hs.partial_product(led, 5, 5)
-    assert p.log_mag == 0.0
-    assert p.phase == 0.0
-    assert p.value == 1.0 + 0.0j
+    spec = hs.builtin_example("constant", a=3, b=1)
+    led = hs.build_ledger(spec, 10)
+    a, _ = coeffs_upto(spec, 10)
+    assert brute_partial_product(a, 5, 5) == 1.0 + 0.0j
+    # p(m, k) = exp((L_m - L_k) + i (Theta_m - Theta_k)), empty at m = k
+    assert led.logmag[5] - led.logmag[5] == 0.0
+    assert led.phase[5] - led.phase[5] == 0.0
+    assert led.logmag[1] == 0.0 and led.phase[1] == 0.0
 
 
 def test_period3_cycle_magnitude_two_thirds():
@@ -36,10 +48,10 @@ def test_period3_cycle_magnitude_two_thirds():
 
 def test_period3_single_step_is_i():
     led = hs.build_ledger(hs.builtin_example("period3_2_i_third"), 10)
-    p = hs.partial_product(led, 3, 2)
-    assert p.log_mag == pytest.approx(0.0, abs=1e-14)
-    assert p.phase == pytest.approx(math.pi / 2, abs=1e-14)
-    assert p.value == pytest.approx(1j, abs=1e-12)
+    log_mag, phase = led.logmag[3] - led.logmag[2], led.phase[3] - led.phase[2]  # p(3, 2) = a_2
+    assert log_mag == pytest.approx(0.0, abs=1e-14)
+    assert phase == pytest.approx(math.pi / 2, abs=1e-14)
+    assert np.exp(log_mag + 1j * phase) == pytest.approx(1j, abs=1e-12)
 
 
 def test_constant2_eleventh_product_against_brute_force():
@@ -48,7 +60,7 @@ def test_constant2_eleventh_product_against_brute_force():
     a, _ = coeffs_upto(spec, 12)
     expect = brute_partial_product(a, 11, 1)  # repeated multiplication: 2^10
     assert expect == 1024 + 0j
-    assert hs.partial_product(led, 11, 1).value == pytest.approx(expect, rel=1e-12)
+    assert np.exp(led.logmag[11] + 1j * led.phase[11]) == pytest.approx(expect, rel=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -70,7 +82,7 @@ def test_quotient_identity_against_direct_log_sums(entries, m, k):
     led = hs.build_ledger(spec, 400)
     a, _ = coeffs_upto(spec, 400)
     direct = math.fsum(math.log(abs(a[j])) for j in range(k, m))
-    assert abs(hs.partial_product(led, m, k).log_mag - direct) <= 1e-10
+    assert abs((led.logmag[m] - led.logmag[k]) - direct) <= 1e-10
 
 
 def test_recurrence_identity_linear_scale():
@@ -84,10 +96,15 @@ def test_recurrence_identity_linear_scale():
     ]:
         led = hs.build_ledger(spec, 200)
         a, _ = coeffs_upto(spec, 200)
+        L, th = led.logmag, led.phase
+
+        def p(m, k):  # p(m, k) from the ledger's prefix sums
+            return np.exp((L[m] - L[k]) + 1j * (th[m] - th[k]))
+
         for k in range(1, 200, 13):
             for m in range(k, 200, 17):
-                lhs = a[m] * hs.partial_product(led, m, k).value
-                rhs = hs.partial_product(led, m + 1, k).value
+                lhs = a[m] * p(m, k)
+                rhs = p(m + 1, k)
                 if 1e-300 < abs(rhs) < 1e300:
                     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
@@ -112,32 +129,40 @@ def test_geometric_mean_exponent_constants():
 
 
 def test_tracking_sum_contracting_geometric():
+    # The sums increase with n, so the supremum up to n is the n-th sum.
     spec = hs.builtin_example("constant", a=0.5, b=0)
     led = hs.build_ledger(spec, 2000)
     a, _ = coeffs_upto(spec, 60)
     for n in (1, 5, 50):
-        assert hs.tracking_sum(led, n) == pytest.approx(brute_tracking_sum(a, n), rel=1e-12)
-        assert hs.tracking_sum(led, n) < 2.0
+        sup = math.exp(hs.tracking_sum_max(led, n))
+        assert sup == pytest.approx(brute_tracking_sum(a, n), rel=1e-12)
+        assert sup < 2.0
     # at large n the sum saturates at its geometric limit 2, up to the
     # O(n ulp) prefix-accumulation error of the log ledger
     for n in (100, 2000):
-        assert hs.tracking_sum(led, n) <= 2.0 * (1 + 1e-11)
-    assert hs.tracking_sum(led, 2000) == pytest.approx(2.0, rel=1e-11)
+        assert math.exp(hs.tracking_sum_max(led, n)) <= 2.0 * (1 + 1e-11)
+    assert math.exp(hs.tracking_sum_max(led, 2000)) == pytest.approx(2.0, rel=1e-11)
 
 
 def test_tracking_sum_constant2_n3():
-    led = hs.build_ledger(hs.builtin_example("constant", a=2, b=0), 5)
-    assert hs.tracking_sum(led, 3) == pytest.approx(7.0, rel=1e-13)  # 1 + 2 + 4
+    spec = hs.builtin_example("constant", a=2, b=0)
+    led = hs.build_ledger(spec, 5)
+    a, _ = coeffs_upto(spec, 5)
+    assert brute_tracking_sum(a, 3) == 7.0  # 1 + 2 + 4
+    assert math.exp(hs.tracking_sum_max(led, 3)) == pytest.approx(7.0, rel=1e-13)
 
 
 def test_tracking_sum_period3_sup_below_16():
-    led = hs.build_ledger(hs.builtin_example("period3_2_i_third"), 10_000)
-    n_at, sup = hs.tracking_sum_max(led, 10_000)
+    spec = hs.builtin_example("period3_2_i_third")
+    led = hs.build_ledger(spec, 10_000)
+    sup = math.exp(hs.tracking_sum_max(led, 10_000))
     assert sup < 16.0
     assert sup == pytest.approx(12.0, rel=1e-9)
     # streamed maximum agrees with per-index evaluation over a window
-    direct = max(hs.tracking_sum(led, n) for n in range(1, 300))
+    a, _ = coeffs_upto(spec, 300)
+    direct = max(brute_tracking_sum(a, n) for n in range(1, 300))
     assert abs(sup - direct) <= 1e-9 * sup
+    assert math.exp(hs.tracking_sum_max(led, 299)) == pytest.approx(direct, rel=1e-12)
 
 
 def test_reciprocal_product_sum_cases():
@@ -171,45 +196,37 @@ def test_reciprocal_product_sum_cases():
 def test_subexponential_ratio_reference_sequences():
     n = 400
     ones = np.ones(n)
-    assert hs.subexponential_ratio(ones, n) == pytest.approx(1.0 / (n - 1), rel=1e-12)
+    assert subexponential_ratio(ones, n) == pytest.approx(1.0 / (n - 1), rel=1e-12)
     lin = np.arange(1.0, n + 1)
     # closed-form partial sum oracle: sum_{j<n} j = n(n-1)/2
-    assert hs.subexponential_ratio(lin, n) == pytest.approx(n / (n * (n - 1) / 2.0), rel=1e-12)
+    assert subexponential_ratio(lin, n) == pytest.approx(n / (n * (n - 1) / 2.0), rel=1e-12)
     geo = 2.0 ** np.arange(1.0, 41.0)
     # geometric partial sum oracle: sum_{j<n} 2^j = 2^n - 2
     expect = 2.0**40 / (2.0**40 - 2.0)
-    assert hs.subexponential_ratio(geo, 40) == pytest.approx(expect, rel=1e-12)
-    assert abs(hs.subexponential_ratio(geo, 40) - 1.0) < 1e-9
+    assert subexponential_ratio(geo, 40) == pytest.approx(expect, rel=1e-12)
+    assert abs(subexponential_ratio(geo, 40) - 1.0) < 1e-9
 
 
 def test_balance_ratio_reference_values():
     ones = np.ones(1000)
-    assert hs.balance_ratio(ones, 3.0, 4) == pytest.approx(81.0 / 39.0, rel=1e-12)
+    assert balance_ratio(ones, 3.0, 4) == pytest.approx(81.0 / 39.0, rel=1e-12)
     # geometric-sum oracle: ratio = (K-1) / (1 - K^{1-n})
     for K in (1.5, 2.0, 4.0):
         expect = (K - 1.0) / (1.0 - K ** (1 - 200))
-        assert hs.balance_ratio(ones, K, 200) == pytest.approx(expect, rel=1e-12)
+        assert balance_ratio(ones, K, 200) == pytest.approx(expect, rel=1e-12)
     geo = 2.0 ** np.arange(1.0, 31.0)
     # t_n = 2^n with K = 2: t_n K^n = 4^n, sum oracle gives 3 * 4^n / (4^n - 4)
     expect = 3.0 * 4.0**30 / (4.0**30 - 4.0)
-    assert hs.balance_ratio(geo, 2.0, 30) == pytest.approx(expect, rel=1e-12)
-    assert hs.balance_ratio(geo, 2.0, 30) == pytest.approx(3.0, rel=1e-6)
+    assert balance_ratio(geo, 2.0, 30) == pytest.approx(expect, rel=1e-12)
+    assert balance_ratio(geo, 2.0, 30) == pytest.approx(3.0, rel=1e-6)
 
 
-def test_ratio_error_conditions():
-    with pytest.raises(NonPositiveTerm):
-        hs.subexponential_ratio([1.0, -1.0, 2.0], 3)
-    with pytest.raises(NonPositiveTerm):
-        hs.balance_ratio([1.0, 0.0, 2.0], 2.0, 3)
-    with pytest.raises(BadK):
-        hs.balance_ratio([1.0, 1.0, 1.0], 1.0, 3)
-    with pytest.raises(IndexOutOfRange):
-        hs.subexponential_ratio([1.0, 1.0], 5)
+def test_ledger_reads_refuse_indices_past_the_horizon():
     led = hs.build_ledger(hs.builtin_example("constant", a=2, b=0), 10)
     with pytest.raises(IndexOutOfRange):
-        hs.tracking_sum(led, 11)
+        hs.tracking_sum_max(led, 11)
     with pytest.raises(IndexOutOfRange):
-        hs.partial_product(led, 30, 1)
+        hs.geometric_mean_exponent(led, 30)
 
 
 def test_zero_coefficient_propagates_through_ledger():
@@ -235,13 +252,12 @@ def test_classify_reads_L_alone_and_theta_is_built_on_first_read():
     cycle = hs.builtin_example("period3_2_i_third")
     hs.classify(cycle, cfg)
     assert "_arg" not in cycle.__dict__
-    # the readers of Theta build it: the CSV's column and partial_product
+    # Theta, built on its first read, is the sequential sum of the phases
     led = hs.build_ledger(table, 50)
     theta = np.cumsum([0.0] + [math.atan2(a.imag, a.real) for a in coeffs_upto(table, 50)[0][1:]])
-    rows = [line.split(",") for line in led.to_csv().splitlines()[1:]]
-    assert [float(r[2]) for r in rows] == theta.tolist()
+    assert led.phase[1:].tolist() == theta.tolist()
     led = hs.build_ledger(cycle, 10)
-    assert hs.partial_product(led, 3, 2).phase == pytest.approx(math.pi / 2, abs=1e-14)
+    assert led.phase[3] - led.phase[2] == pytest.approx(math.pi / 2, abs=1e-14)
     assert "phase" in led.__dict__
 
 
@@ -249,7 +265,7 @@ def test_key_lemma_one_finite_horizon():
     n = 1000
     js = np.arange(1.0, n + 1)
     for t in (np.ones(n), js, js**2, np.sqrt(js), np.exp(np.sqrt(js))):
-        assert hs.subexponential_ratio(t, n) <= 0.05
+        assert subexponential_ratio(t, n) <= 0.05
 
 
 def test_key_lemma_two_finite_horizon():
@@ -257,16 +273,7 @@ def test_key_lemma_two_finite_horizon():
     js = np.arange(1.0, n + 1)
     for t in (np.ones(n), js, 1.0 / js):
         for K in (1.5, 2.0, 4.0):
-            assert abs(hs.balance_ratio(t, K, n) - (K - 1.0)) <= 0.05 * (K - 1.0)
-
-
-def test_wrap_phase_range():
-    assert wrap_phase(math.pi) == pytest.approx(math.pi)
-    assert wrap_phase(3 * math.pi) == pytest.approx(math.pi)
-    assert wrap_phase(-math.pi) == pytest.approx(math.pi)  # maps to the half-open end
-    assert wrap_phase(2 * math.pi) == pytest.approx(0.0, abs=1e-15)
-    arr = wrap_phase(np.array([0.1, 7.0, -7.0]))
-    assert np.all(arr > -math.pi) and np.all(arr <= math.pi)
+            assert abs(balance_ratio(t, K, n) - (K - 1.0)) <= 0.05 * (K - 1.0)
 
 
 def test_scaled_cumsum_matches_direct_in_range():
@@ -359,14 +366,6 @@ def test_scaled_cumsum_nan_terms_end_the_scan():
     scale, mant = scaled_cumsum(lm, np.zeros(600))
     assert len(scale) == len(mant) == 601
     assert np.all(np.isfinite(mant[1:301]))
-
-
-def test_ledger_csv_shape():
-    led = hs.build_ledger(hs.builtin_example("constant", a=2, b=1), 5)
-    text = led.to_csv()
-    lines = text.strip().split("\n")
-    assert lines[0] == "n,L_n,Theta_n"
-    assert len(lines) == 7  # header + indices 1..6
 
 
 def _rise_blocks(log_mag):

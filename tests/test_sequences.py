@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import naive_abs, naive_entry_columns, naive_pair_from_list
+from conftest import coeff_at, coeff_full, naive_abs, naive_entry_columns, naive_pair_from_list
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +16,6 @@ from hustab.sequences import (
     CoefficientSpec,
     _entries_from_lists,
     coeff_arrays,
-    coeff_full,
     spec_from_json,
     spec_to_json,
 )
@@ -24,54 +23,54 @@ from hustab.sequences import (
 
 def test_period3_entry_lookup():
     spec = hs.builtin_example("period3_2_i_third")
-    assert hs.coeff_at(spec, 1) == (2 + 0j, 5 + 0j)
-    assert hs.coeff_at(spec, 2) == (1j, 5 + 0j)
-    assert hs.coeff_at(spec, 3) == (1 / 3 + 0j, 5 + 0j)
-    assert hs.coeff_at(spec, 5) == hs.coeff_at(spec, 2)
+    assert coeff_at(spec, 1) == (2 + 0j, 5 + 0j)
+    assert coeff_at(spec, 2) == (1j, 5 + 0j)
+    assert coeff_at(spec, 3) == (1 / 3 + 0j, 5 + 0j)
+    assert coeff_at(spec, 5) == coeff_at(spec, 2)
 
 
 def test_constant_identity_map():
     spec = hs.builtin_example("constant", a=1, b=0)
-    assert hs.coeff_at(spec, 7) == (1 + 0j, 0j)
+    assert coeff_at(spec, 7) == (1 + 0j, 0j)
 
 
 def test_alternating_fourth_index():
     spec = hs.builtin_example("alternating_2_half")
-    assert hs.coeff_at(spec, 4) == (0.5 + 0j, 5 + 0j)
-    assert hs.coeff_at(spec, 3) == (2 + 0j, 5 + 0j)
+    assert coeff_at(spec, 4) == (0.5 + 0j, 5 + 0j)
+    assert coeff_at(spec, 3) == (2 + 0j, 5 + 0j)
 
 
 def test_near_parabolic_limit_is_translation_by_minus_two():
     spec = hs.builtin_example("near_parabolic", alpha=0.0)
-    a, b = hs.coeff_at(spec, 10**6)
+    a, b = coeff_at(spec, 10**6)
     assert abs(a - 1) < 1e-11
     assert abs(b + 2) < 1e-11
     # each map sends z to a_n (z - 2), so b_n = -2 a_n at every index
-    a5, b5 = hs.coeff_at(spec, 5)
+    a5, b5 = coeff_at(spec, 5)
     assert b5 == -2 * a5
 
 
 def test_near_parabolic_rotation():
     spec = hs.builtin_example("near_parabolic", alpha=0.25)
-    a, _ = hs.coeff_at(spec, 1000)
+    a, _ = coeff_at(spec, 1000)
     assert a.real == pytest.approx(0.0, abs=1e-9)
     assert a.imag == pytest.approx(1.0, rel=1e-5)
 
 
 def test_sparse3_squares_values():
     spec = hs.builtin_example("sparse3_squares")
-    assert hs.coeff_at(spec, 1)[0] == 3  # 1 = 1^2
-    assert hs.coeff_at(spec, 4)[0] == 3  # 4 = 2^2
-    assert hs.coeff_at(spec, 5)[0] == 1
-    assert hs.coeff_at(spec, 9)[0] == 3
-    assert all(hs.coeff_at(spec, n)[1] == 5 for n in (1, 4, 5))
+    assert coeff_at(spec, 1)[0] == 3  # 1 = 1^2
+    assert coeff_at(spec, 4)[0] == 3  # 4 = 2^2
+    assert coeff_at(spec, 5)[0] == 1
+    assert coeff_at(spec, 9)[0] == 3
+    assert all(coeff_at(spec, n)[1] == 5 for n in (1, 4, 5))
 
 
 def test_sparse3_periodic_layout():
     spec = hs.builtin_example("sparse3_periodic", p=4)
-    assert [hs.coeff_at(spec, n)[0] for n in range(1, 9)] == [1, 1, 1, 3, 1, 1, 1, 3]
+    assert [coeff_at(spec, n)[0] for n in range(1, 9)] == [1, 1, 1, 3, 1, 1, 1, 3]
     every = hs.builtin_example("sparse3_periodic", p=1)
-    assert hs.coeff_at(every, 17)[0] == 3
+    assert coeff_at(every, 17)[0] == 3
 
 
 def test_validate_rejects_zero_coefficient():
@@ -95,11 +94,11 @@ def test_empty_table_and_period_rejected():
 
 def test_table_tail_rules():
     spec = hs.table_spec([(2, 1), (3, 1)], tail="error")
-    assert hs.coeff_at(spec, 2) == (3 + 0j, 1 + 0j)
+    assert coeff_at(spec, 2) == (3 + 0j, 1 + 0j)
     with pytest.raises(PastEnd):
-        hs.coeff_at(spec, 3)
+        coeff_at(spec, 3)
     rep = hs.table_spec([(2, 1), (3, 1)], tail="repeat")
-    assert hs.coeff_at(rep, 10) == (3 + 0j, 1 + 0j)
+    assert coeff_at(rep, 10) == (3 + 0j, 1 + 0j)
 
 
 def test_unknown_builtin():
@@ -122,7 +121,7 @@ def test_unknown_builtin():
 def test_periodicity_is_exact(entries, n):
     spec = hs.periodic_spec(entries)
     p = spec.period_length
-    assert hs.coeff_at(spec, n + p) == hs.coeff_at(spec, n)
+    assert coeff_at(spec, n + p) == coeff_at(spec, n)
 
 
 def _all_builtins():
@@ -141,7 +140,7 @@ def test_builtins_never_produce_zero_a():
     probes = list(range(1, 2001)) + [10**4, 10**5, 10**6, 999983]
     for spec in _all_builtins():
         for n in probes:
-            a, _ = hs.coeff_at(spec, n)
+            a, _ = coeff_at(spec, n)
             assert a != 0
 
 
@@ -151,7 +150,7 @@ def test_near_parabolic_magnitude_sum_bound():
     lhs = 0.0
     rhs = 0.0
     for n in range(1, 1001):
-        a, _ = hs.coeff_at(spec, n)
+        a, _ = coeff_at(spec, n)
         term = abs(abs(a) - 1.0)
         assert term <= 3.0 / n**2 + 1e-15
         lhs += term
@@ -172,7 +171,7 @@ def test_json_round_trip_all_builtins():
         doc = json.loads(json.dumps(spec_to_json(spec)))
         back = spec_from_json(doc)
         for n in range(1, 1001):
-            assert hs.coeff_at(back, n) == hs.coeff_at(spec, n)
+            assert coeff_at(back, n) == coeff_at(spec, n)
 
 
 def test_json_round_trip_table():
@@ -180,7 +179,19 @@ def test_json_round_trip_table():
     back = spec_from_json(json.loads(json.dumps(spec_to_json(spec))))
     assert back.tail == "repeat"
     for n in (1, 2, 3, 50):
-        assert hs.coeff_at(back, n) == hs.coeff_at(spec, n)
+        assert coeff_at(back, n) == coeff_at(spec, n)
+
+
+def test_coeff_at_takes_no_phase_of_a_listed_entry():
+    # The test oracle coeff_at reads the a and b columns alone, so a table's
+    # or cycle's entry phases stay untaken until a phase is read.
+    rng = np.random.default_rng(4)
+    table = hs.table_spec(list(zip(np.exp(2j * np.pi * rng.uniform(0, 1, 1000)), np.ones(1000))))
+    for spec in (table, hs.builtin_example("period3_2_i_third")):
+        a, b = coeff_at(spec, 7)
+        assert "_arg" not in spec.__dict__
+        assert (a, b) == coeff_full(spec, 7)[:2]
+        assert "_arg" in spec.__dict__
 
 
 def test_coeff_full_subnormal_phase():

@@ -14,6 +14,14 @@ from hustab.errors import IndexOutOfRange, NotUnstable
 from hustab.witness import _Objective, default_prefixes, reciprocal_sum_converged
 
 
+def _plan(spec, led, variant, eps):
+    """The plan of the given variant: the phase-aligned plan itself, and the
+    product-scaled one as make_witness builds it for linear growth."""
+    if variant == "scaled_product":
+        return hs.make_witness(spec, led, "linear_growth_products", eps)
+    return hs.PerturbationPlan(variant, eps)
+
+
 def test_alternating_gets_phase_aligned_equal_to_constant_eps():
     spec = hs.builtin_example("alternating_2_half")
     led = hs.build_ledger(spec, 500)
@@ -22,9 +30,9 @@ def test_alternating_gets_phase_aligned_equal_to_constant_eps():
     assert plan.variant == "phase_aligned"
     aligned = hs.realize_plan(plan, led, 400)
     # phases of the partial products are all zero for real positive a, so
-    # the aligned plan coincides with the constant-budget plan
-    const = hs.realize_plan(hs.PerturbationPlan(variant="constant_eps", epsilon=1.0), led, 400)
-    assert np.allclose(aligned[1:], const[1:], rtol=0, atol=1e-12)
+    # the aligned plan is the constant r_n = epsilon
+    assert np.all(led.phase[1:] == 0.0)
+    assert np.allclose(aligned[1:], 1.0, rtol=0, atol=1e-12)
 
 
 def test_phase_aligned_budget_is_saturated():
@@ -82,24 +90,13 @@ def test_make_witness_rejects_stable_criteria():
         hs.make_witness(spec, led, "periodic_contracting", 1.0)
 
 
-def test_constant_eps_requires_real_positive_products():
-    led_rot = hs.build_ledger(hs.builtin_example("near_parabolic", alpha=0.5), 50)
-    with pytest.raises(ValueError):
-        hs.make_witness(hs.builtin_example("near_parabolic", alpha=0.5), led_rot,
-                        "geomean_subexponential", 1.0, variant="constant_eps")
-    led_ok = hs.build_ledger(hs.builtin_example("alternating_2_half"), 50)
-    plan = hs.make_witness(hs.builtin_example("alternating_2_half"), led_ok,
-                           "bounded_products", 1.0, variant="constant_eps")
-    assert plan.variant == "constant_eps"
-
-
 def test_budget_exact_across_plans():
     eps = 0.37
     for name, kw in [("alternating_2_half", {}), ("near_parabolic", {"alpha": 1 / 3}), ("sparse3_squares", {})]:
         spec = hs.builtin_example(name, **kw)
         led = hs.build_ledger(spec, 600)
         for variant in ("phase_aligned", "scaled_product"):
-            plan = hs.make_witness(spec, led, "geomean_subexponential", eps, variant=variant)
+            plan = _plan(spec, led, variant, eps)
             r = hs.realize_plan(plan, led, 600)
             assert np.max(np.abs(r[1:])) <= eps
 
@@ -242,12 +239,20 @@ def test_plan_json_round_trip_fields():
     assert doc["M"] == pytest.approx(3.0**31, rel=1e-9)
 
 
+def test_growth_factor_from_zero():
+    # from 0 to 0 the curve has not grown; from 0 to a positive value the
+    # ratio has no finite value
+    assert hs.DivergenceCurve(np.array([2, 8]), np.array([0.0, 0.0])).growth_factor() == (2, 8, 1.0)
+    assert hs.DivergenceCurve(np.array([2, 8]), np.array([0.0, 4.5])).growth_factor() == (2, 8, None)
+    assert hs.DivergenceCurve(np.array([2, 8]), np.array([1.5, 4.5])).growth_factor() == (2, 8, 3.0)
+
+
 def test_plan_json_is_strict_past_float_range():
     # sup |p(n, 1)| = 2^2000 overflows binary64; the plan then reports
     # log_M in place of a linear M of Infinity.
     spec = hs.builtin_example("constant", a=2, b=5)
     led = hs.build_ledger(spec, 2000)
-    plan = hs.make_witness(spec, led, "linear_growth_products", 1.0, variant="scaled_product")
+    plan = hs.make_witness(spec, led, "linear_growth_products", 1.0)
 
     def refuse(name):
         raise ValueError(f"non-strict JSON constant {name}")
@@ -351,7 +356,7 @@ def test_oracle_beats_naive_objective_at_other_starts(case):
 def test_oracle_certified_on_builtin_witnesses(name, N, variant):
     spec = hs.builtin_example(name)
     led = hs.build_ledger(spec, N)
-    plan = hs.make_witness(spec, led, "geomean_subexponential", 0.5, variant=variant)
+    plan = _plan(spec, led, variant, 0.5)
     r = hs.realize_plan(plan, led, N)
     orbit = hs.perturbed_orbit(spec, 0.0, r, 0.5)
     res = hs.best_shadow_oracle(orbit, spec, led, N)
@@ -366,7 +371,7 @@ def test_oracle_sparse3_squares_regression():
     N = 16000
     spec = hs.builtin_example("sparse3_squares")
     led = hs.build_ledger(spec, N)
-    plan = hs.make_witness(spec, led, "geomean_subexponential", 1.0, variant="scaled_product")
+    plan = hs.make_witness(spec, led, "linear_growth_products", 1.0)
     orbit = hs.perturbed_orbit(spec, 0.0, hs.realize_plan(plan, led, N), 1.0)
     res = hs.best_shadow_oracle(orbit, spec, led, N)
     assert res.value == pytest.approx(280.0 / 3.0, rel=1e-9)
@@ -423,7 +428,7 @@ def assert_curve_matches_cold_oracle(spec, led, plan, N, w1=0.2 - 0.3j, prefixes
 def test_run_witness_matches_cold_oracle_on_builtins(name, N, variant, roots, objectives):
     spec = hs.builtin_example(name)
     led = hs.build_ledger(spec, N)
-    plan = hs.make_witness(spec, led, "geomean_subexponential", 0.7, variant=variant)
+    plan = _plan(spec, led, variant, 0.7)
     seen, built = assert_curve_matches_cold_oracle(spec, led, plan, N)
     assert (len(seen), built) == (roots, objectives)
 
@@ -467,7 +472,7 @@ def test_warm_start_equals_cold_start(name, N, variant):
     # end state and from y = 0, reaches the same value.
     spec = hs.builtin_example(name)
     led = hs.build_ledger(spec, N)
-    plan = hs.make_witness(spec, led, "geomean_subexponential", 0.7, variant=variant)
+    plan = _plan(spec, led, variant, 0.7)
     ns = default_prefixes(N)
     obj = _Objective(led, hs.realize_plan(plan, led, N), N, cuts=ns)
     state = witness._COLD
