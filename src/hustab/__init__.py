@@ -15,7 +15,6 @@ from .classify import (
 )
 from .dynamics import (
     PerturbedOrbit,
-    ResidualLedger,
     ShadowResult,
     Trajectory,
     closed_form_curve,

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HorizonTooSmall, NotPeriodic
+from .errors import IndexOutOfRange
 from .products import (
     PartialProductLedger,
     build_ledger,
@@ -89,15 +89,14 @@ class StabilityVerdict:
 
     Stable verdicts carry the natural log of their tracking constant c,
     with sup_n |w_n - z_n| <= c * epsilon for the matching shadow
-    construction; Unstable verdicts carry the witness-plan variant that
-    realizes the divergence; Undetermined verdicts carry estimates only.
+    construction; the other verdicts carry their criterion and estimates
+    (witness.make_witness picks the plan an Unstable criterion gets).
     Numeric verdicts are finite-horizon and say so.
     """
 
     status: str
     criterion: str | None
     log_constant: float | None
-    witness_variant: str | None
     estimates: dict
     finite_horizon: bool
     horizon: int | None
@@ -108,8 +107,6 @@ class StabilityVerdict:
             raise ValueError("Stable verdicts need a finite log tracking constant")
         if self.status != STABLE and self.log_constant is not None:
             raise ValueError("only Stable verdicts carry a tracking constant")
-        if self.status == UNSTABLE and not self.witness_variant:
-            raise ValueError("Unstable verdicts need a witness plan")
 
     @property
     def constant(self) -> float | None:
@@ -126,7 +123,6 @@ class StabilityVerdict:
             "status": self.status,
             "criterion": self.criterion,
             **log_scaled("constant", self.log_constant),
-            "witness_plan": self.witness_variant,
             "estimates": dict(self.estimates),
             "finite_horizon": self.finite_horizon,
             "horizon": self.horizon,
@@ -164,8 +160,8 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
     """
     cfg = cfg or HorizonConfig()
     if spec.kind not in ("constant", "periodic"):
-        raise NotPeriodic(f"exact cycle classification needs constant or periodic, got {spec.kind}")
-    p = spec.period_length
+        raise ValueError(f"exact cycle classification needs constant or periodic, got {spec.kind}")
+    p = len(spec.entries)
     (log_mag,) = coeff_arrays(spec, np.arange(1, p + 1), "log_abs")
     log_q = math.fsum(log_mag.tolist())
     estimates = {
@@ -176,14 +172,12 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
     if log_q == 0.0:
         return StabilityVerdict(
             status=UNSTABLE, criterion="bounded_products", log_constant=None,
-            witness_variant="phase_aligned", estimates=estimates, finite_horizon=False,
-            horizon=None, config=cfg,
+            estimates=estimates, finite_horizon=False, horizon=None, config=cfg,
         )
     log_c = _cycle_log_sup(-log_mag) - math.log(-math.expm1(-abs(log_q))) + min(log_q, 0.0)
     return StabilityVerdict(
         status=STABLE, criterion="periodic_contracting" if log_q < 0.0 else "periodic_expanding",
-        log_constant=log_c, witness_variant=None, estimates=estimates, finite_horizon=False,
-        horizon=None, config=cfg,
+        log_constant=log_c, estimates=estimates, finite_horizon=False, horizon=None, config=cfg,
     )
 
 
@@ -205,7 +199,7 @@ def classify_numeric(
     cfg = cfg or HorizonConfig()
     N = cfg.N
     if ledger.horizon < N:
-        raise HorizonTooSmall(f"ledger horizon {ledger.horizon} < configured N {N}")
+        raise IndexOutOfRange(f"ledger horizon {ledger.horizon} < configured N {N}")
     L = ledger.logmag
     w0 = max(2, int(N * (1.0 - cfg.window)) + 1)
     ns = np.arange(w0, N + 1)
@@ -234,11 +228,10 @@ def classify_numeric(
         # JSON has no infinity: past ~709 only the log estimate is reported
         estimates["sup_tracking_sum"] = sup_track
 
-    def verdict(status, criterion, log_constant=None, witness=None):
+    def verdict(status, criterion, log_constant=None):
         return StabilityVerdict(
             status=status, criterion=criterion, log_constant=log_constant,
-            witness_variant=witness, estimates=estimates, finite_horizon=True,
-            horizon=N, config=cfg,
+            estimates=estimates, finite_horizon=True, horizon=N, config=cfg,
         )
 
     eta = cfg.band
@@ -247,12 +240,12 @@ def classify_numeric(
     if gmin > eta:
         return verdict(STABLE, "geomean_expanding", log_constant=log_series_envelope(ledger, N))
     if max(abs(gmin), abs(gmax)) <= eta:
-        return verdict(UNSTABLE, "geomean_subexponential", witness="phase_aligned")
+        return verdict(UNSTABLE, "geomean_subexponential")
     if log_sup_p < LOG_PRODUCT_BOUND:
         slope = float(np.polyfit(-np.log(ns), L[w0 : N + 1], 1)[0])
         estimates["decay_slope_vs_log_n"] = slope
         if slope < GROWTH_SLOPE_MAX:
-            return verdict(UNSTABLE, "linear_growth_products", witness="scaled_product")
+            return verdict(UNSTABLE, "linear_growth_products")
     return verdict(UNDETERMINED, None)
 
 

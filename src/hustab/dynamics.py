@@ -30,6 +30,7 @@ from .errors import IndexOutOfRange, TailNotConvergent
 from .products import (
     PartialProductLedger,
     _csv_text,
+    _prefix_sums,
     geometric_mean_exponent,
     scaled_cumsum,
 )
@@ -43,7 +44,6 @@ _BUDGET_SLACK = 1.0 + 4e-16  # one-ulp slack for |r_n| <= epsilon checks
 class Trajectory:
     """Exact orbit z_1..z_N; values slot n holds z_n, slot 0 is padding."""
 
-    spec: CoefficientSpec
     values: np.ndarray
 
     @property
@@ -52,9 +52,6 @@ class Trajectory:
 
     def __len__(self) -> int:
         return len(self.values) - 1
-
-    def at(self, n: int) -> complex:
-        return complex(self.values[n])
 
 
 @dataclass(frozen=True)
@@ -65,7 +62,6 @@ class PerturbedOrbit:
     (n = 1..N-1).
     """
 
-    spec: CoefficientSpec
     values: np.ndarray
     perturbations: np.ndarray
     epsilon: float
@@ -78,16 +74,6 @@ class PerturbedOrbit:
     @property
     def w1(self) -> complex:
         return complex(self.values[1])
-
-    def __len__(self) -> int:
-        return len(self.values) - 1
-
-
-@dataclass(frozen=True)
-class ResidualLedger:
-    """Accumulated deviations R_0..R_{N-1}; values slot n holds R_n."""
-
-    values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.values) - 1
@@ -143,7 +129,7 @@ def iterate(spec: CoefficientSpec, z1: complex, N: int) -> Trajectory:
     if N < 1:
         raise IndexOutOfRange(f"orbit length must be >= 1, got {N}")
     a, b = coeff_arrays(spec, np.arange(1, N), "a", "b")
-    return Trajectory(spec=spec, values=_recur(z1, a, b, None))
+    return Trajectory(values=_recur(z1, a, b, None))
 
 
 def perturbed_orbit(spec: CoefficientSpec, w1: complex, r: np.ndarray, epsilon: float) -> PerturbedOrbit:
@@ -151,15 +137,17 @@ def perturbed_orbit(spec: CoefficientSpec, w1: complex, r: np.ndarray, epsilon: 
     r = np.asarray(r, dtype=complex)  # slots 0..N-1, slot 0 padding
     a, b = coeff_arrays(spec, np.arange(1, len(r)), "a", "b")
     values = _recur(w1, a, b, r[1:])
-    return PerturbedOrbit(spec=spec, values=values, perturbations=r, epsilon=float(epsilon))
+    return PerturbedOrbit(values=values, perturbations=r, epsilon=float(epsilon))
 
 
-def _series_term_logs(ledger: PartialProductLedger, r: np.ndarray, N: int):
-    """log-magnitude and phase of c_j = r_j / p(j+1, 1) for j = 1..N-1."""
-    rj = np.asarray(r[1:N], dtype=complex)
+def _series_term_logs(ledger: PartialProductLedger, t: np.ndarray):
+    """log-magnitude and phase of t_j / p(j+1, 1) for j = 1..N-1, where t
+    holds t_1..t_{N-1}."""
+    t = np.asarray(t, dtype=complex)
+    N = len(t) + 1
     with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(rj)) - ledger.logmag[2 : N + 1]
-    phase = np.angle(rj) - ledger.phase[2 : N + 1]
+        log_mag = np.log(np.abs(t)) - ledger.logmag[2 : N + 1]
+    phase = np.angle(t) - ledger.phase[2 : N + 1]
     return log_mag, phase
 
 
@@ -174,10 +162,7 @@ def closed_form_curve(spec: CoefficientSpec, ledger: PartialProductLedger, z1: c
         raise IndexOutOfRange(f"N={N} outside [1, {ledger.horizon + 1}]")
     L, th = ledger.logmag, ledger.phase
     (b,) = coeff_arrays(spec, np.arange(1, N), "b")
-    with np.errstate(divide="ignore"):
-        log_mag = np.log(np.abs(b)) - L[2 : N + 1]
-    phase = np.angle(b) - th[2 : N + 1]
-    scale, mant = scaled_cumsum(log_mag, phase)
+    scale, mant = scaled_cumsum(*_series_term_logs(ledger, b))
 
     values = np.empty(N + 1, dtype=complex)
     values[0] = np.nan
@@ -190,19 +175,19 @@ def closed_form_curve(spec: CoefficientSpec, ledger: PartialProductLedger, z1: c
     return values
 
 
-def residual_ledger(orbit: PerturbedOrbit, spec: CoefficientSpec, check: bool = True) -> ResidualLedger:
-    """R_n = a_n R_{n-1} + r_n with R_0 = 0, for n = 1..N-1.
+def residual_ledger(orbit: PerturbedOrbit, spec: CoefficientSpec, check: bool = True) -> np.ndarray:
+    """R_0..R_{N-1}, slot n holding R_n = a_n R_{n-1} + r_n, R_0 = 0.
 
     When check is set, verifies the converse identity
     w_{n+1} = (exact orbit from w_1)_{n+1} + R_n (see _check_identity).
     """
     N = len(orbit)
-    a, log_a = coeff_arrays(spec, np.arange(1, N), "a", "log_abs")
-    values = _recur(0j, a, None, orbit.perturbations[1:])[1:]  # slot n holds R_n
+    (a,) = coeff_arrays(spec, np.arange(1, N), "a")
+    values = _recur(0j, a, None, orbit.perturbations[1:])[1:]
     if check:
-        L = np.concatenate(([np.nan, 0.0], np.cumsum(log_a)))  # slot n holds L_n
+        L = _prefix_sums(spec, N - 1, "log_abs")  # slot n holds L_n
         _check_identity(orbit, iterate(spec, orbit.w1, N), values, L)
-    return ResidualLedger(values=values)
+    return values
 
 
 def _check_identity(orbit: PerturbedOrbit, exact: Trajectory, R: np.ndarray, L: np.ndarray) -> None:
@@ -246,7 +231,7 @@ def _shadow(orbit: PerturbedOrbit, spec: CoefficientSpec, ledger: PartialProduct
     N = len(orbit)
     if ledger.horizon + 1 < N:
         raise IndexOutOfRange(f"ledger horizon {ledger.horizon} too small for orbit length {N}")
-    log_mag, phase = _series_term_logs(ledger, orbit.perturbations, N)
+    log_mag, phase = _series_term_logs(ledger, orbit.perturbations[1:N])
     if series_start:
         scale, mant = scaled_cumsum(log_mag[::-1], phase[::-1])
         scale, mant = scale[::-1], -mant[::-1]

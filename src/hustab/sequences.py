@@ -2,7 +2,8 @@
 
 A CoefficientSpec is an immutable generator of coefficient pairs, indexed
 from n = 1. Four kinds exist: a single constant pair, a periodic list, a
-named formula family, and a finite table with an explicit tail rule.
+named formula family, and a finite table with an explicit tail rule. A
+constant is a cycle of one: it lists one entry and is read as a cycle.
 coeff_arrays is the one definition of the coefficients: it returns the
 columns a reader names, out of a_n, b_n, log|a_n| and arg a_n, over a whole
 index array, and every reader (the ledger, the cycle classifier, the
@@ -20,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import EmptyPeriod, InvalidSpec, PastEnd, UnknownExample, ZeroCoefficient
+from .errors import IndexOutOfRange, InvalidSpec
 
 KINDS = ("constant", "periodic", "formula", "table")
 TAIL_RULES = ("repeat", "error")
@@ -35,8 +36,6 @@ BUILTIN_NAMES = (
     "constant",
 )
 
-Pair = tuple[complex, complex]
-
 
 @dataclass(frozen=True)
 class FormulaSpec:
@@ -48,49 +47,36 @@ class FormulaSpec:
 class CoefficientSpec:
     """Immutable description of the coefficient pairs (a_n, b_n), n >= 1.
 
-    kind:      one of "constant", "periodic", "formula", "table"
-    constant:  the single pair (a, b)                      (kind=constant)
-    period:    read-only (p, 2) complex array of (a, b) rows (kind=periodic)
-    formula:   family name + parameters                     (kind=formula)
-    table:     read-only (n, 2) complex array of (a, b) rows (kind=table)
-    tail:      "repeat" (repeat last entry) or "error" past the table end
+    kind:     one of "constant", "periodic", "formula", "table"
+    entries:  read-only (k, 2) complex array of the listed (a, b) rows of a
+              constant (k = 1: a cycle of one), periodic or table spec
+    formula:  family name + parameters                     (kind=formula)
+    tail:     "repeat" (repeat last entry) or "error" past the table end
 
     Specs compare and hash by identity: an array field has no truth value.
     """
 
     kind: str
-    constant: Pair | None = None
-    period: np.ndarray | None = None
+    entries: np.ndarray | None = None
     formula: FormulaSpec | None = None
-    table: np.ndarray | None = None
     tail: str = "error"
 
-    @property
-    def period_length(self) -> int:
-        if self.kind == "constant":
-            return 1
-        if self.kind == "periodic":
-            return len(self.period)
-        raise ValueError(f"{self.kind} specs have no period")
-
     @cached_property
-    def _entries(self) -> np.ndarray:
+    def _slots(self) -> np.ndarray:
         """The (2, k) complex array whose rows are the a and the b of the
-        listed entries of a constant, periodic or table spec, each row
-        contiguous (np.take copies a strided source whole) and laid out for
-        direct reads: index n reads slot (n mod p) - 1 of a cycle, so slot
-        -1 is entry p, and slot min(n, length) of a table, whose slot 0
-        repeats entry 1."""
-        entries = {"constant": [self.constant], "periodic": self.period, "table": self.table}[self.kind]
-        entries = np.asarray(entries, complex).T
+        listed entries, each row contiguous (np.take copies a strided
+        source whole) and laid out for direct reads: index n reads slot
+        (n mod p) - 1 of a cycle, so slot -1 is entry p, and slot
+        min(n, length) of a table, whose slot 0 repeats entry 1."""
+        slots = np.asarray(self.entries, complex).T
         if self.kind == "table":
-            entries = np.concatenate((entries[:, :1], entries), axis=1)
-        return np.ascontiguousarray(entries)
+            slots = np.concatenate((slots[:, :1], slots), axis=1)
+        return np.ascontiguousarray(slots)
 
     @cached_property
     def _log_abs(self) -> np.ndarray:
         """log|a| of each entry slot, taken once and kept: a read costs O(1)."""
-        a = self._entries[0]
+        a = self._slots[0]
         # np.hypot is abs(complex) bit for bit but for NaN payloads; validate
         # refuses what would warn here: a non-finite a, an overflowing |a|
         with np.errstate(over="ignore", invalid="ignore"):
@@ -102,14 +88,14 @@ class CoefficientSpec:
     @cached_property
     def _arg(self) -> np.ndarray:
         """arg a of each entry slot, taken on first read and kept."""
-        a = self._entries[0]
+        a = self._slots[0]
         # math.atan2 is cmath.phase without its refusal of a subnormal angle
         return np.fromiter(map(math.atan2, a.imag.tolist(), a.real.tolist()), float, len(a))
 
     def _entry_column(self, name: str) -> np.ndarray:
-        """Column name of the entry slots; a and b are rows of _entries."""
+        """Column name of the entry slots; a and b are rows of _slots."""
         if name in ("a", "b"):
-            return self._entries[COLUMNS.index(name)]
+            return self._slots[COLUMNS.index(name)]
         return self._log_abs if name == "log_abs" else self._arg
 
 
@@ -138,7 +124,7 @@ def _formula_column(fam: FormulaSpec, n: np.ndarray, name: str) -> np.ndarray:
         r = np.rint(np.sqrt(n)).astype(np.int64)
         square = r * r == n
         return np.where(square, 3.0 + 0.0j, 1.0 + 0.0j) if name == "a" else np.where(square, math.log(3.0), 0.0)
-    raise UnknownExample(f"unknown formula family {fam.name!r}")
+    raise InvalidSpec(f"unknown formula family {fam.name!r}")
 
 
 def coeff_arrays(spec: CoefficientSpec, n, *columns: str) -> tuple[np.ndarray, ...]:
@@ -147,10 +133,10 @@ def coeff_arrays(spec: CoefficientSpec, n, *columns: str) -> tuple[np.ndarray, .
 
     The one definition of the coefficients, and only the named columns are
     computed. Constant, periodic and table specs take the log and phase of
-    each listed entry once, on first read, then fill or index; formula
-    families evaluate their closed forms over the array. Periodic specs
-    read entry ((n - 1) mod p) + 1; tables past their end follow the tail
-    rule. Same spec and n give identical values bit for bit, whichever
+    each listed entry once, on first read, then index; formula families
+    evaluate their closed forms over the array. Cycles, a constant among
+    them, read entry ((n - 1) mod p) + 1; tables past their end follow the
+    tail rule. Same spec and n give identical values bit for bit, whichever
     columns are named with them. A zero a_n is refused when a or log|a| is
     read: log|a_n| = -inf exactly where a_n = 0.
     """
@@ -162,16 +148,14 @@ def coeff_arrays(spec: CoefficientSpec, n, *columns: str) -> tuple[np.ndarray, .
         raise IndexError(f"coefficient index must be >= 1, got {int(n.min())}")
     if spec.kind == "formula":
         out = tuple(_formula_column(spec.formula, n, c) for c in columns)
-    elif spec.kind == "constant":
-        out = tuple(np.full(n.shape, spec._entry_column(c)[0]) for c in columns)
-    elif spec.kind == "periodic":
-        k = n % len(spec.period)
+    elif spec.kind in ("constant", "periodic"):
+        k = n % len(spec.entries)
         k -= 1
         out = tuple(spec._entry_column(c)[k] for c in columns)
     elif spec.kind == "table":
-        size = len(spec.table)
+        size = len(spec.entries)
         if spec.tail != "repeat" and n.size and n.max() > size:
-            raise PastEnd(f"table of length {size} read at n={int(n[n > size][0])} with error tail")
+            raise IndexOutOfRange(f"table of length {size} read at n={int(n[n > size][0])} with error tail")
         out = tuple(spec._entry_column(c).take(n, mode="clip") for c in columns)
     else:
         raise ValueError(f"unknown spec kind {spec.kind!r}")
@@ -179,7 +163,7 @@ def coeff_arrays(spec: CoefficientSpec, n, *columns: str) -> tuple[np.ndarray, .
         if name in ("a", "log_abs"):  # name the first index whose a_n = 0
             zero = col == (0 if name == "a" else -math.inf)
             if zero.any():
-                raise ZeroCoefficient(f"a_{int(n.flat[np.argmax(zero)])} = 0")
+                raise InvalidSpec(f"a_{int(n.flat[np.argmax(zero)])} = 0")
             break
     return out
 
@@ -191,29 +175,25 @@ def validate(spec: CoefficientSpec) -> CoefficientSpec:
     entries: each a_n and b_n must be finite, each |a_n| within float range
     and each a_n nonzero; the first offending entry is named. Formula
     families are checked by rule (both builtin families are zero-free for
-    all n), and their parameters must be finite numbers. Raises InvalidSpec, ZeroCoefficient or
-    EmptyPeriod on violation.
+    all n), and their parameters must be finite numbers. Raises InvalidSpec
+    on violation: a zero a, no listed entry, an unknown family, a value
+    that is not finite. An unknown kind or tail rule raises ValueError.
     """
     if spec.kind not in KINDS:
         raise ValueError(f"unknown spec kind {spec.kind!r}")
     if spec.kind == "formula":
         if spec.formula is None or spec.formula.name not in FORMULA_FAMILIES:
             name = None if spec.formula is None else spec.formula.name
-            raise UnknownExample(f"unknown formula family {name!r}")
+            raise InvalidSpec(f"unknown formula family {name!r}")
         for key, val in spec.formula.params.items():
             if not _is_finite_number(val):
                 raise InvalidSpec(f"formula parameter {key!r} = {val!r} is not a finite number")
         return spec
-    if spec.kind == "constant" and spec.constant is None:
-        raise ZeroCoefficient("constant spec has a = 0")
-    if spec.kind == "periodic" and not len(spec.period):
-        raise EmptyPeriod("periodic spec has no entries")
-    if spec.kind == "table":
-        if not len(spec.table):
-            raise EmptyPeriod("table spec has no entries")
-        if spec.tail not in TAIL_RULES:
-            raise ValueError(f"table tail rule must be one of {TAIL_RULES}, got {spec.tail!r}")
-    (a, b), log_mag = spec._entries, spec._log_abs
+    if not len(spec.entries):
+        raise InvalidSpec(f"{spec.kind} spec has no entries")
+    if spec.kind == "table" and spec.tail not in TAIL_RULES:
+        raise ValueError(f"table tail rule must be one of {TAIL_RULES}, got {spec.tail!r}")
+    (a, b), log_mag = spec._slots, spec._log_abs
     if spec.kind == "table":  # slot 0 repeats entry 1
         a, b, log_mag = a[1:], b[1:], log_mag[1:]
     bad = ~(np.isfinite(a) & np.isfinite(b))
@@ -224,7 +204,7 @@ def validate(spec: CoefficientSpec) -> CoefficientSpec:
     if log_mag[k] == math.inf:  # a finite a whose modulus overflows
         raise InvalidSpec(f"{_entry_name(spec, k)} has |a| past float range: a = {a[k]}")
     if not a.all():
-        raise ZeroCoefficient(f"{_entry_name(spec, int(np.argmin(a != 0)))} has a = 0")
+        raise InvalidSpec(f"{_entry_name(spec, int(np.argmin(a != 0)))} has a = 0")
     return spec
 
 
@@ -232,11 +212,11 @@ def _entry_name(spec: CoefficientSpec, k: int) -> str:
     """How errors name listed entry k + 1."""
     if spec.kind == "constant":
         return "constant spec"
-    return f"{'period' if spec.kind == 'periodic' else 'table'} entry {k + 1}"
+    return f"{_WIRE_FIELDS[spec.kind]} entry {k + 1}"
 
 
 def constant_spec(a: complex, b: complex) -> CoefficientSpec:
-    return validate(CoefficientSpec(kind="constant", constant=(complex(a), complex(b))))
+    return validate(CoefficientSpec(kind="constant", entries=_pair_array([(a, b)])))
 
 
 def _read_only(entries: np.ndarray) -> np.ndarray:
@@ -250,11 +230,11 @@ def _pair_array(pairs) -> np.ndarray:
 
 
 def periodic_spec(pairs) -> CoefficientSpec:
-    return validate(CoefficientSpec(kind="periodic", period=_pair_array(pairs)))
+    return validate(CoefficientSpec(kind="periodic", entries=_pair_array(pairs)))
 
 
 def table_spec(pairs, tail: str = "error") -> CoefficientSpec:
-    return validate(CoefficientSpec(kind="table", table=_pair_array(pairs), tail=tail))
+    return validate(CoefficientSpec(kind="table", entries=_pair_array(pairs), tail=tail))
 
 
 def builtin_example(
@@ -291,13 +271,17 @@ def builtin_example(
         return validate(CoefficientSpec(kind="formula", formula=FormulaSpec("sparse3_squares")))
     if name == "constant":
         return constant_spec(a if a is not None else 2.0, b if b is not None else 5.0)
-    raise UnknownExample(f"no builtin example named {name!r}")
+    raise InvalidSpec(f"no builtin example named {name!r}")
 
 
 # ---------------------------------------------------------------------------
 # JSON wire format. Field names are part of the external interface:
 #   {"kind": ..., "constant": [re,im,re,im], "period": [[re,im,re,im], ...],
 #    "formula": {"name": ..., "params": {...}}, "table": [...], "tail": ...}
+
+# The field that holds the listed entries of each kind; a constant's holds
+# its one pair, not a list of pairs.
+_WIRE_FIELDS = {"constant": "constant", "periodic": "period", "table": "table"}
 
 # The Python types of JSON numbers; bool, an int subclass, is not one.
 _NUMBER_TYPES = frozenset({int, float})
@@ -311,14 +295,14 @@ def _is_finite_number(v) -> bool:
         return False
 
 
-def _pair_from_list(vals) -> Pair:
+def _check_pair(vals) -> None:
+    """Raise InvalidSpec, naming vals, unless it is 4 numbers in float range."""
     if type(vals) is not list or len(vals) != 4 or not _NUMBER_TYPES.issuperset(map(type, vals)):
         raise InvalidSpec(f"a coefficient pair must be 4 numbers [re a, im a, re b, im b], got {vals!r}")
     try:
-        re_a, im_a, re_b, im_b = map(float, vals)
+        list(map(float, vals))
     except OverflowError:
         raise InvalidSpec(f"coefficient pair {vals!r} leaves float range") from None
-    return complex(re_a, im_a), complex(re_b, im_b)
 
 
 def _entries_from_lists(pairs: list) -> np.ndarray:
@@ -337,21 +321,16 @@ def _entries_from_lists(pairs: list) -> np.ndarray:
         except OverflowError:
             pass
     for vals in pairs:
-        _pair_from_list(vals)  # raises at the first bad pair
+        _check_pair(vals)  # raises at the first bad pair
     raise AssertionError("a list of pairs failed a check that no pair fails")
 
 
 def spec_to_json(spec: CoefficientSpec) -> dict:
-    data: dict = {"kind": spec.kind}
-    if spec.kind == "constant":
-        a, b = spec.constant
-        data["constant"] = [a.real, a.imag, b.real, b.imag]
-    elif spec.kind == "periodic":
-        data["period"] = spec.period.view(float).reshape(-1, 4).tolist()
-    elif spec.kind == "formula":
-        data["formula"] = {"name": spec.formula.name, "params": dict(spec.formula.params)}
-    elif spec.kind == "table":
-        data["table"] = spec.table.view(float).reshape(-1, 4).tolist()
+    if spec.kind == "formula":
+        return {"kind": "formula", "formula": {"name": spec.formula.name, "params": dict(spec.formula.params)}}
+    rows = spec.entries.view(float).reshape(-1, 4).tolist()
+    data = {"kind": spec.kind, _WIRE_FIELDS[spec.kind]: rows[0] if spec.kind == "constant" else rows}
+    if spec.kind == "table":
         data["tail"] = spec.tail
     return data
 
@@ -377,22 +356,16 @@ def spec_from_json(data: dict) -> CoefficientSpec:
     if not isinstance(data, dict):
         raise InvalidSpec(f"a spec must be a JSON object, got {type(data).__name__}")
     kind = data.get("kind")
-    if kind == "constant":
-        pair = _pair_from_list(_field(data, "constant", list, "a constant spec"))
-        spec = CoefficientSpec(kind="constant", constant=pair)
-    elif kind == "periodic":
-        pairs = _field(data, "period", list, "a periodic spec")
-        spec = CoefficientSpec(kind="periodic", period=_entries_from_lists(pairs))
-    elif kind == "formula":
+    if kind not in KINDS:
+        raise InvalidSpec(f"unknown spec kind {kind!r}")
+    if kind == "formula":
         f = _field(data, "formula", dict, "a formula spec")
         name = _field(f, "name", str, "a formula")
         params = f.get("params", {})
         if not isinstance(params, dict):
             raise InvalidSpec(f"formula params must be a JSON object, got {params!r}")
-        spec = CoefficientSpec(kind="formula", formula=FormulaSpec(name, dict(params)))
-    elif kind == "table":
-        pairs = _field(data, "table", list, "a table spec")
-        spec = CoefficientSpec(kind="table", table=_entries_from_lists(pairs), tail=data.get("tail", "error"))
-    else:
-        raise InvalidSpec(f"unknown spec kind {kind!r}")
-    return validate(spec)
+        return validate(CoefficientSpec(kind="formula", formula=FormulaSpec(name, dict(params))))
+    pairs = _field(data, _WIRE_FIELDS[kind], list, f"a {kind} spec")
+    entries = _entries_from_lists([pairs] if kind == "constant" else pairs)
+    tail = data.get("tail", "error") if kind == "table" else "error"
+    return validate(CoefficientSpec(kind=kind, entries=entries, tail=tail))

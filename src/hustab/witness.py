@@ -22,7 +22,7 @@ import numpy as np
 
 from .classify import UNSTABLE_CRITERIA, log_scaled
 from .dynamics import PerturbedOrbit, _series_term_logs
-from .errors import IndexOutOfRange, NotUnstable
+from .errors import IndexOutOfRange
 from .products import (
     PartialProductLedger,
     _csv_text,
@@ -131,7 +131,7 @@ def make_witness(
     product-scaled plan is used there as well.
     """
     if criterion not in UNSTABLE_CRITERIA:
-        raise NotUnstable(f"{criterion!r} is not an instability criterion")
+        raise ValueError(f"{criterion!r} is not an instability criterion")
     if criterion == "linear_growth_products" or reciprocal_sum_converged(ledger):
         log_m = float(np.max(ledger.logmag[1:]))  # log sup_n |p(n, 1)|
         return PerturbationPlan(variant="scaled_product", epsilon=float(epsilon), C=1.0, log_M=log_m)
@@ -223,7 +223,7 @@ class _Objective:
     """
 
     def __init__(self, ledger: PartialProductLedger, r: np.ndarray, N: int, cuts=()):
-        log_t, phase = _series_term_logs(ledger, r, N)  # slot j - 1 holds t_j
+        log_t, phase = _series_term_logs(ledger, r[1:N])  # slot j - 1 holds t_j
         L = np.asarray(ledger.logmag[2 : N + 1])  # n = 2..N
         m = self.root = int(np.argmax(L)) + 2
         self.log_wm = float(L[m - 2])

@@ -53,7 +53,7 @@ def test_criterion_1_closed_form_equivalence():
         _, b = coeffs_upto(spec, N)
         for n in (2, 357, N):
             got = closed_form_at(led, b, z1, n)
-            worst = max(worst, abs(got - traj.at(n)) / (1.0 + abs(traj.at(n))))
+            worst = max(worst, abs(got - traj.values[n]) / (1.0 + abs(traj.values[n])))
     _report("1 closed-form equivalence", worst <= 1e-9 and elapsed < 5.0,
             f"worst rel {worst:.2e}, {elapsed:.2f}s")
 
@@ -71,7 +71,7 @@ def test_criterion_2_residual_round_trip():
         orbit = hs.perturbed_orbit(spec, complex(random_disc(rng, 1, 3.0)[0]), r, 1.0)
         res = hs.residual_ledger(orbit, spec, check=False)
         exact = hs.iterate(spec, orbit.w1, N)
-        recon = exact.values[2:] + res.values[1:N]
+        recon = exact.values[2:] + res[1:N]
         rel = np.abs(orbit.values[2:] - recon) / (1.0 + np.abs(orbit.values[2:]))
         worst = max(worst, float(np.max(rel)))
     elapsed = time.time() - t0

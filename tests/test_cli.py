@@ -359,7 +359,7 @@ def test_public_names_are_pinned():
     # A name joins the package surface only with a caller outside the tests.
     assert sorted(hs.__all__) == [
         "BUILTIN_NAMES", "CoefficientSpec", "DivergenceCurve", "HorizonConfig", "OracleResult",
-        "PartialProductLedger", "PerturbationPlan", "PerturbedOrbit", "ResidualLedger", "ShadowResult",
+        "PartialProductLedger", "PerturbationPlan", "PerturbedOrbit", "ShadowResult",
         "StabilityVerdict", "Trajectory", "best_shadow_oracle", "build_ledger", "builtin_example", "classify",
         "classify_numeric", "classify_periodic", "closed_form_curve", "coeff_arrays", "constant_spec",
         "dynamics", "errors", "geometric_mean_exponent", "iterate", "make_witness", "periodic_spec",

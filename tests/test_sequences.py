@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
-from hustab.errors import EmptyPeriod, InvalidSpec, PastEnd, UnknownExample, ZeroCoefficient
+from hustab.errors import IndexOutOfRange, InvalidSpec
 from hustab.sequences import (
     COLUMNS,
     CoefficientSpec,
@@ -74,9 +74,9 @@ def test_sparse3_periodic_layout():
 
 
 def test_validate_rejects_zero_coefficient():
-    with pytest.raises(ZeroCoefficient):
+    with pytest.raises(InvalidSpec, match="period entry 1 has a = 0"):
         hs.periodic_spec([(0.0, 1.0)])
-    with pytest.raises(ZeroCoefficient):
+    with pytest.raises(InvalidSpec, match="constant spec has a = 0"):
         hs.constant_spec(0.0, 1.0)
 
 
@@ -86,23 +86,23 @@ def test_validate_accepts_alternating_pairs():
 
 
 def test_empty_table_and_period_rejected():
-    with pytest.raises(EmptyPeriod):
+    with pytest.raises(InvalidSpec, match="table spec has no entries"):
         hs.table_spec([])
-    with pytest.raises(EmptyPeriod):
+    with pytest.raises(InvalidSpec, match="periodic spec has no entries"):
         hs.periodic_spec([])
 
 
 def test_table_tail_rules():
     spec = hs.table_spec([(2, 1), (3, 1)], tail="error")
     assert coeff_at(spec, 2) == (3 + 0j, 1 + 0j)
-    with pytest.raises(PastEnd):
+    with pytest.raises(IndexOutOfRange):
         coeff_at(spec, 3)
     rep = hs.table_spec([(2, 1), (3, 1)], tail="repeat")
     assert coeff_at(rep, 10) == (3 + 0j, 1 + 0j)
 
 
 def test_unknown_builtin():
-    with pytest.raises(UnknownExample):
+    with pytest.raises(InvalidSpec, match="no builtin example named 'no_such_family'"):
         hs.builtin_example("no_such_family")
 
 
@@ -120,7 +120,7 @@ def test_unknown_builtin():
 )
 def test_periodicity_is_exact(entries, n):
     spec = hs.periodic_spec(entries)
-    p = spec.period_length
+    p = len(spec.entries)
     assert coeff_at(spec, n + p) == coeff_at(spec, n)
 
 
@@ -233,7 +233,7 @@ def test_validate_rejects_non_finite_values_naming_the_entry():
         hs.table_spec([(2, 5), (math.inf, 5), (0.5, 5)])
     with pytest.raises(InvalidSpec, match="'alpha'"):
         hs.builtin_example("near_parabolic", alpha=math.nan)
-    with pytest.raises(ZeroCoefficient, match="period entry 2"):
+    with pytest.raises(InvalidSpec, match="period entry 2"):
         hs.periodic_spec([(2, 5), (0, 5), (0, 5)])
     # the new checks are ValueErrors too, as the old ones were
     assert issubclass(InvalidSpec, ValueError)
@@ -284,7 +284,7 @@ _WIRE_NUMBERS = st.one_of(
 @example(pairs=[[1.5e308, 10**308, 0, 0], [0.0, math.nan, 0, 0]])  # a NaN part right after an overflow
 def test_entry_columns_bit_identical_to_per_entry_oracle(pairs):
     naive = tuple(naive_pair_from_list(p) for p in pairs)
-    spec = CoefficientSpec(kind="table", table=_entries_from_lists(pairs), tail="repeat")
+    spec = CoefficientSpec(kind="table", entries=_entries_from_lists(pairs), tail="repeat")
     got = [spec._entry_column(c)[1:] for c in COLUMNS]  # slot 0 repeats entry 1
     # the per-entry oracle's abs raises where a finite a's modulus overflows;
     # the new columns hold log|a| = inf there, which validate refuses
@@ -310,15 +310,19 @@ def test_entry_columns_bit_identical_to_per_entry_oracle(pairs):
         min_size=1,
         max_size=9,
     ),
-    kind=st.sampled_from(["periodic", "table"]),
+    kind=st.sampled_from(["constant", "periodic", "table"]),
 )
 def test_spec_to_json_round_trips_byte_for_byte(pairs, kind):
-    doc = {"kind": kind, ("period" if kind == "periodic" else "table"): pairs}
+    if kind == "constant":  # one pair, held as the field itself
+        pairs = pairs[:1]
+        doc = {"kind": kind, "constant": pairs[0]}
+    else:
+        doc = {"kind": kind, ("period" if kind == "periodic" else "table"): pairs}
     if kind == "table":
         doc["tail"] = "repeat"
     text = json.dumps(doc)
     spec = spec_from_json(json.loads(text))
-    entries = spec.period if kind == "periodic" else spec.table
+    entries = spec.entries
     assert entries.shape == (len(pairs), 2) and not entries.flags.writeable
     assert json.dumps(spec_to_json(spec)) == text
     # the columns match the per-entry oracle on what validate accepts
@@ -395,7 +399,7 @@ def test_each_column_read_alone_matches_the_four_column_read(kind, data):
     n = np.array(data.draw(st.lists(st.integers(1, top), max_size=40)), dtype=np.int64)
     if kind == "table_error" and n.size and n.max() > len(entries):
         for names in [(), *((c,) for c in COLUMNS)]:
-            with pytest.raises(PastEnd):
+            with pytest.raises(IndexOutOfRange):
                 coeff_arrays(spec, n, *names)
         return
     full = coeff_arrays(spec, n)
@@ -409,3 +413,13 @@ def test_each_column_read_alone_matches_the_four_column_read(kind, data):
 def test_unknown_column_refused():
     with pytest.raises(ValueError, match="columns"):
         coeff_arrays(hs.builtin_example("sparse3_squares"), [1, 2], "phase")
+
+
+@pytest.mark.parametrize("a, b", [(0.5, 2.0), (3.0, 5.0), (1j, 1.0), (-1.0, 0.0), (0.6 - 0.7j, 2.0 + 1.0j)])
+def test_constant_reads_and_classifies_as_a_cycle_of_one(a, b):
+    const, cycle = hs.constant_spec(a, b), hs.periodic_spec([(a, b)])
+    n = np.arange(1, 5001)
+    for got, want in zip(coeff_arrays(const, n), coeff_arrays(cycle, n)):
+        assert (_bits(got.view(float)) == _bits(want.view(float))).all()
+    v0, v1 = hs.classify(const), hs.classify(cycle)
+    assert (v0.status, v0.criterion, v0.log_constant) == (v1.status, v1.criterion, v1.log_constant)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import hustab as hs
 from conftest import brute_reciprocal_sum, brute_residuals, coeffs_upto, padded, random_disc
 from hustab import witness
-from hustab.errors import IndexOutOfRange, NotUnstable
+from hustab.errors import IndexOutOfRange
 from hustab.witness import _Objective, default_prefixes, reciprocal_sum_converged
 
 
@@ -86,7 +86,7 @@ def test_plan_epsilon_must_be_positive_and_finite(eps):
 def test_make_witness_rejects_stable_criteria():
     spec = hs.builtin_example("alternating_2_half")
     led = hs.build_ledger(spec, 50)
-    with pytest.raises(NotUnstable):
+    with pytest.raises(ValueError, match="'periodic_contracting' is not an instability criterion"):
         hs.make_witness(spec, led, "periodic_contracting", 1.0)
 
 
