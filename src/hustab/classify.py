@@ -26,6 +26,7 @@ from .errors import IndexOutOfRange
 from .products import (
     PartialProductLedger,
     build_ledger,
+    log_cumsum_exp,
     tracking_sum_max,
 )
 from .sequences import CoefficientSpec, coeff_arrays
@@ -136,12 +137,13 @@ def _cycle_log_sup(log_x: np.ndarray) -> float:
 
     With C_k = log x_0 + ... + log x_{k-1} and s = C_p, the rotation-l sum
     is e^{-C_l} (sum_{l<k<=p} e^{C_k} + e^s sum_{1<=k<=l} e^{C_k}): two sums
-    of positive terms, accumulated in log space from either end of the
+    of positive terms, summed by log_cumsum_exp from either end of the
     cycle, so no rotation is summed twice and nothing cancels.
     """
     C = np.cumsum(log_x)  # slot k - 1: C_k
-    tail = np.logaddexp.accumulate(C[::-1])[::-1]  # slot l: log sum_{l<k<=p} e^{C_k}
-    head = np.concatenate([[-np.inf], np.logaddexp.accumulate(C[:-1])])  # slot l: log sum_{k<=l} e^{C_k}
+    tail = log_cumsum_exp(C[::-1].copy())[::-1]  # slot l: log sum_{l<k<=p} e^{C_k}
+    head = np.concatenate([[-np.inf], C[:-1]])
+    log_cumsum_exp(head[1:])  # slot l: log sum_{k<=l} e^{C_k}
     start = np.concatenate([[0.0], C[:-1]])  # slot l: C_l
     return float(np.max(np.logaddexp(tail, C[-1] + head) - start))
 
@@ -265,18 +267,17 @@ def classify(
 
 
 def log_series_envelope(ledger: PartialProductLedger, N: int) -> float:
-    """log sup_{m<=N} sum_{m<k<=N+1} |p(m, 1)| / |p(k, 1)|, by a reverse
-    log-sum-exp of the reciprocal products.
+    """log sup_{m<=N} sum_{m<k<=N+1} |p(m, 1)| / |p(k, 1)|, by
+    log_cumsum_exp of the reciprocal products taken from the horizon down.
 
     The series shadow's error at m is |p(m, 1)| times a tail of
     r_j / p(j+1, 1), so this envelope times epsilon bounds its sup_error
     for every perturbation within budget, and the phase-aligned one
     attains it up to the truncation at the horizon. One full-length array
-    is accumulated and shifted in place.
+    is summed and shifted in place.
     """
     L = ledger.logmag
-    log_e = -L[N + 1 : 1 : -1]  # -L_{N+1}, ..., -L_2
-    np.logaddexp.accumulate(log_e, out=log_e)
+    log_e = log_cumsum_exp(-L[N + 1 : 1 : -1])  # summed from -L_{N+1} down to -L_2
     log_e = log_e[::-1]  # slot i: log sum_{i+2<=k<=N+1} 1 / |p(k, 1)|
     log_e += L[1 : N + 1]
     return float(np.max(log_e))

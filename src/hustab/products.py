@@ -3,8 +3,9 @@
 The ledger stores prefix sums of log|a_j|, and of arg(a_j) once read, so
 that |p(m, k)| = exp(L_m - L_k) never has to be formed from a linear-scale
 product of many factors: for |a| = 2 the product leaves binary64 range
-near m = 1000. Readers work with differences of these sums, and sum
-series of products in log space or through scaled_cumsum. Phase is
+near m = 1000. Readers work with differences of these sums. A series of
+product magnitudes is summed by log_cumsum_exp, which returns its prefix
+log-sums; a series of complex terms by scaled_cumsum. Phase is
 accumulated unreduced in binary64; its error grows like O(n ulp), which
 none of the magnitude criteria depend on.
 
@@ -215,16 +216,101 @@ def tracking_sum_max(ledger: PartialProductLedger, upto: int) -> float:
     """log of the largest tracking sum T_n = sum_{j=1}^{n} |p(n+1, j+1)|
     = 1 + |a_n| + |a_n a_{n-1}| + ... over n = 1..upto, in O(upto).
 
-    Streamed as log T_n = L_{n+1} + log sum_{j<=n} exp(-L_{j+1}) with a
-    running log-sum-exp, so the scan never leaves log space and the result
-    stays finite where the linear value overflows to inf.
+    Taken as log T_n = L_{n+1} + log sum_{j<=n} exp(-L_{j+1}), the sums by
+    log_cumsum_exp, so the result stays finite where the linear value
+    overflows to inf.
     """
     _check_index(upto, 1, ledger.horizon, "upto")
     L = ledger.logmag
-    log_t = np.negative(L[2 : upto + 2])  # the one full-length array, worked in place
-    np.logaddexp.accumulate(log_t, out=log_t)
+    log_t = log_cumsum_exp(np.negative(L[2 : upto + 2]))  # the one full-length array
     log_t += L[2 : upto + 2]
     return float(np.max(log_t))
+
+
+# log_cumsum_exp sums chunks of _CHUNK terms at a time; a chunk that must be
+# redone is split into _SPLIT pieces, and those down to single terms.
+_CHUNK = 256
+_SPLIT = 16
+# Every exp argument is kept in [-_FLOOR, 0], where exp is normal and takes
+# its fast path (a subnormal result costs it about 100 times as long).
+_FLOOR = 700.0
+# A chunk is summed at its own maximum only where each of its prefixes,
+# carry included, lies within e^-_REACH of that maximum.
+_REACH = 600.0
+
+
+def log_cumsum_exp(x: np.ndarray) -> np.ndarray:
+    """y_k = log sum_{i<=k} exp(x_i) for a contiguous 1-D array of finite
+    floats, written over x, which is returned.
+
+    The terms are taken in chunks of 256. Each chunk is scaled by its own
+    maximum m and summed by exp, a row-wise cumsum and log over all chunks
+    at once. A short running log-sum-exp of the chunk totals gives each
+    chunk's carry, the log of all terms before it, and each prefix is
+    c + log(local e^(m - c) + e^(carry - c)) with c = max(m, carry). It is
+    rounded once per chunk, not once per term as a running logaddexp is.
+
+    Exponents below -700 are raised to -700. That moves a prefix by under
+    256 e^-100 relative wherever the prefix lies within e^-600 of its
+    chunk's maximum. A chunk whose first term and carry both lie further
+    below is redone from its saved terms, split into pieces of 16 and those,
+    where needed, into single terms, so every prefix comes out exact.
+    """
+    if x.ndim != 1 or not x.flags.c_contiguous:
+        raise ValueError("log_cumsum_exp works in place on a contiguous 1-D array")
+    n = len(x)
+    full = n - n % _CHUNK
+    carry = np.full(1, -np.inf)
+    with np.errstate(under="ignore", divide="ignore"):
+        for lo, hi, width in ((0, full, _CHUNK), (full, n, n - full)):
+            if hi > lo:
+                _log_cumsum_rows(x[None, lo:hi], carry, width)
+                carry = x[hi - 1 : hi]
+    return x
+
+
+def _log_cumsum_rows(x: np.ndarray, carry: np.ndarray, width: int) -> None:
+    """log_cumsum_exp of each row of x (rows, n), in place, with n a multiple
+    of width and row r preceded by terms whose log-sum is carry[r]."""
+    if width == 1:  # each term is its own chunk
+        x[:] = _running_log_sum(carry, x)[1:].T
+        return
+    rows, n = x.shape
+    chunks = x.reshape(rows, n // width, width)
+    top = chunks.max(axis=2)
+    low = chunks[:, :, 0] < top - _REACH
+    saved = chunks[low]  # the terms of the chunks that may need redoing
+    chunks -= top[..., None]
+    _floored_exp(chunks)
+    np.cumsum(chunks, axis=2, out=chunks)
+    totals = np.log(chunks[:, :, -1])
+    totals += top
+    before = _running_log_sum(carry, totals)[:-1].T
+    c = np.maximum(top, before)
+    chunks *= _floored_exp(top - c)[..., None]
+    chunks += _floored_exp(before - c)[..., None]
+    np.log(chunks, out=chunks)
+    chunks += c[..., None]
+    redo = low & (before < top - _REACH)
+    if redo.any():
+        pieces = saved[redo[low]]
+        _log_cumsum_rows(pieces, before[redo], width // _SPLIT if width % _SPLIT == 0 else 1)
+        chunks[redo] = pieces
+
+
+def _running_log_sum(carry: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Slot (k, r) holds log(exp(carry[r]) + sum_{j<k} exp(terms[r, j])), for
+    terms of shape (rows, n); the running sum is the join of the chunks."""
+    acc = np.empty((terms.shape[1] + 1, len(carry)))
+    acc[0] = carry
+    acc[1:] = terms.T
+    return np.logaddexp.accumulate(acc, axis=0, out=acc)
+
+
+def _floored_exp(d: np.ndarray) -> np.ndarray:
+    """exp(max(d, -_FLOOR)), in place."""
+    np.maximum(d, -_FLOOR, out=d)
+    return np.exp(d, out=d)
 
 
 def scaled_cumsum(log_mag: np.ndarray, phase: np.ndarray, cuts=()):

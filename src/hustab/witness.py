@@ -26,6 +26,7 @@ from .errors import IndexOutOfRange
 from .products import (
     PartialProductLedger,
     _csv_text,
+    _floored_exp,
     build_ledger,
     scaled_cumsum,
 )
@@ -108,11 +109,16 @@ class DivergenceCurve:
 def reciprocal_sum_converged(ledger: PartialProductLedger) -> bool:
     """True when the reciprocal-product sum sum_{j=1}^{h} 1 / |p(j, 1)| over
     the ledger's horizon h has numerically saturated: all but
-    RECIP_CONVERGED_FRACTION of it arrives before j = h / 2. One running
-    log-sum-exp gives both sums, so the terms may leave float range."""
+    RECIP_CONVERGED_FRACTION of it arrives before j = h / 2. Both sums are
+    taken over the terms scaled by the largest, so the terms may leave float
+    range; raising those below e^-700 of it to e^-700 moves neither sum by
+    more than h e^-700 relative."""
     h = ledger.horizon
-    running = np.logaddexp.accumulate(-ledger.logmag[1 : h + 1])  # slot j - 1: sum up to j
-    return bool(running[max(2, h // 2) - 2] >= running[-1] + math.log1p(-RECIP_CONVERGED_FRACTION))
+    terms = np.negative(ledger.logmag[1 : h + 1])  # slot j - 1: log 1 / |p(j, 1)|
+    terms -= np.max(terms)
+    _floored_exp(terms)
+    half, full = np.sum(terms[: max(2, h // 2) - 1]), np.sum(terms)
+    return bool(half >= full * (1.0 - RECIP_CONVERGED_FRACTION))
 
 
 def make_witness(

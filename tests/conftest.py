@@ -100,6 +100,24 @@ def brute_tracking_sum(a, n):
     return total
 
 
+def brute_series_envelope(a, N):
+    """max_{1<=m<=N} sum_{m<k<=N+1} |p(m, 1)| / |p(k, 1)| in mpmath, each
+    ratio 1 / |a_m ... a_{k-1}| by repeated division; a is 1-based padded,
+    of length at least N + 1. Returned as an mpmath number, which does not
+    overflow where the envelope leaves float range."""
+    import mpmath
+
+    with mpmath.workprec(200):
+        best = mpmath.mpf(0)
+        for m in range(1, N + 1):
+            total, ratio = mpmath.mpf(0), mpmath.mpf(1)
+            for k in range(m + 1, N + 2):
+                ratio /= abs(mpmath.mpc(a[k - 1]))
+                total += ratio
+            best = max(best, total)
+        return +best
+
+
 def _log_sum_exp(x):
     """log sum exp(x), the mantissas summed by math.fsum."""
     top = float(np.max(x))

@@ -7,13 +7,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
-from conftest import coeff_at
+from conftest import brute_series_envelope, brute_tracking_sum, coeff_at, coeffs_upto, random_table_spec
 from hustab.classify import (
     EXPANDING_CRITERIA,
     STABLE,
     UNDETERMINED,
     UNSTABLE,
     HorizonConfig,
+    log_series_envelope,
 )
 from hustab.errors import IndexOutOfRange
 
@@ -337,3 +338,44 @@ def test_phase_aligned_adversary_meets_the_constant(seed, kind, sign, N):
     assert log_sup <= log_bound + math.log1p(1e-9)
     if tail < 1e-12:
         assert log_sup >= log_bound + math.log1p(-1e-9)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), N=st.integers(1, 120))
+def test_horizon_envelopes_match_mpmath_on_wide_tables(seed, n, N):
+    # |a| log-uniform in [1e-3, 1e3], so the products swing far past float
+    # range. The ledger sums up to N + 1 rounded logs, which may move each
+    # log-domain result by 2 (N + 1) ulp of the sum of their moduli.
+    mpmath = pytest.importorskip("mpmath")
+    spec = random_table_spec(np.random.default_rng(seed), n, amin=1e-3, amax=1e3)
+    led = hs.build_ledger(spec, N)
+    a, _ = coeffs_upto(spec, N + 1)
+    mods = [mpmath.mpf(abs(complex(x))) for x in a[1:]]
+    slack = 2 * (N + 1) * 2.0**-52 * math.fsum(abs(math.log(abs(x))) for x in a[1:])
+    with mpmath.workprec(200):
+        track = max(brute_tracking_sum([None, *mods], k) for k in range(1, N + 1))
+        expect = {"track": float(mpmath.log(track)), "env": float(mpmath.log(brute_series_envelope(a, N)))}
+    got = {"track": hs.tracking_sum_max(led, N), "env": log_series_envelope(led, N)}
+    for key, ref in expect.items():
+        assert abs(got[key] - ref) <= 1e-13 + 8 * np.spacing(abs(ref)) + slack, key
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant <= 52, reason="long double is binary64 here")
+@pytest.mark.parametrize("name", ["near_parabolic", "sparse3_squares"])
+def test_horizon_envelopes_at_1e6_against_long_double(name):
+    # The tracking supremum and the series envelope over the ledger's own L,
+    # against both summed in long double: |L| stays below 1100, so no term
+    # of exp(-L) leaves its range. Summed at the chunk maxima they are
+    # within 8.6e-14; a running logaddexp, rounding once per term, missed
+    # the near_parabolic supremum by 6.5e-13 and the sparse3_squares
+    # envelope by 1.7e-12.
+    N = 10**6
+    led = hs.build_ledger(hs.builtin_example(name), N)
+    L = led.logmag.astype(np.longdouble)
+    assert np.max(np.abs(L[1:])) < 1100
+    recip = np.exp(-L[2 : N + 2])  # slot j - 2: 1 / |p(j, 1)|
+    track = np.max(L[2 : N + 2] + np.log(np.cumsum(recip)))
+    env = np.max(L[1 : N + 1] + np.log(np.cumsum(recip[::-1])[::-1]))
+    for got, ref in ((hs.tracking_sum_max(led, N), track), (log_series_envelope(led, N), env)):
+        ref = float(ref)
+        assert abs(got - ref) <= 2e-13 + 8 * np.spacing(abs(ref))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
@@ -18,7 +18,7 @@ from conftest import (
 )
 from hustab.classify import HorizonConfig
 from hustab.errors import IndexOutOfRange, InvalidSpec
-from hustab.products import scaled_cumsum
+from hustab.products import log_cumsum_exp, scaled_cumsum
 from hustab.sequences import coeff_arrays
 from hustab.witness import RECIP_CONVERGED_FRACTION, reciprocal_sum_converged
 
@@ -431,3 +431,73 @@ def test_scaled_cumsum_matches_mpmath_across_rises(seed):
             mass += mpmath.exp(lm[k])
             got = mpmath.exp(scale[k + 1]) * mpmath.mpc(mant[k + 1])
             assert abs(got - exact) <= 1e-12 * mass
+
+
+def _mpmath_log_cumsum_exp(x):
+    """log sum_{i<=k} exp(x_i) for every k, summed exactly enough in mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    out, total = [], mpmath.mpf(0)
+    with mpmath.workprec(160):
+        for v in x.tolist():
+            total += mpmath.exp(v)
+            out.append(float(mpmath.log(total)))
+    return np.array(out)
+
+
+def _assert_log_sums_exact(x):
+    ref = _mpmath_log_cumsum_exp(x)
+    got = log_cumsum_exp(x.copy())
+    assert np.all(np.abs(got - ref) <= 1e-13 + 8 * np.spacing(np.abs(ref)))
+
+
+# The kernel sums chunks of 256 terms, each at its own maximum; a chunk
+# whose first term and carry both lie more than 600 below that maximum is
+# redone in pieces of 16 and, where those rise as fast, single terms.
+_SEGMENTS = st.lists(
+    st.tuples(st.sampled_from(["flat", "walk", "ramp", "cliff"]), st.integers(1, 300)),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(segments=_SEGMENTS, start=st.floats(-1e4, 1e4), seed=st.integers(0, 2**32 - 1))
+@example(segments=[("cliff", 300)], start=0.0, seed=1)  # every piece of 16 split to single terms
+@example(segments=[("ramp", 1)], start=3.0, seed=0)
+def test_log_cumsum_exp_matches_mpmath(segments, start, seed):
+    # Runs of constant terms, random walks, steady ramps of up to 60 per
+    # term, and cliffs of 700 to 709 per term either way, in any order.
+    rng = np.random.default_rng(seed)
+    steps = []
+    for kind, n in segments:
+        if kind == "flat":
+            steps.append(np.zeros(n))
+        elif kind == "walk":
+            steps.append(rng.normal(0.0, rng.uniform(0.1, 20.0), n))
+        elif kind == "ramp":
+            steps.append(np.full(n, rng.uniform(-60.0, 60.0)))
+        else:
+            steps.append(rng.choice([-1.0, 1.0], n) * rng.uniform(700.0, 709.0, n))
+    _assert_log_sums_exact(start + np.cumsum(np.concatenate(steps)))
+
+
+@pytest.mark.parametrize("n", [512, 600, 1000])
+def test_log_cumsum_exp_redoes_a_chunk_rising_past_its_carry(n):
+    # 256 terms of -5 make a carry of about 0.5. The next chunk climbs from
+    # -900 to 800, so its early prefixes, about 0.5, lie e^-800 below the
+    # chunk's maximum: summed at that maximum they would be lost, and the
+    # chunk is redone in pieces. A steep fall follows.
+    x = np.full(n, -5.0)
+    x[256:512] = np.linspace(-900.0, 800.0, 256)
+    x[512:] = np.linspace(790.0, -2000.0, n - 512)
+    _assert_log_sums_exact(x)
+    # A climb of 5.5 per term opening the array, with no carry at all.
+    _assert_log_sums_exact(np.linspace(-2000.0, 800.0, n))
+
+
+def test_log_cumsum_exp_works_in_place():
+    x = np.log(np.arange(1.0, 1001.0))
+    y = log_cumsum_exp(x)
+    assert y is x
+    assert np.allclose(np.exp(y), np.cumsum(np.arange(1.0, 1001.0)), rtol=1e-13)
+    with pytest.raises(ValueError, match="contiguous"):
+        log_cumsum_exp(np.zeros(600)[::-1])
