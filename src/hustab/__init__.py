@@ -17,11 +17,8 @@ from .dynamics import (
     PerturbedOrbit,
     ShadowResult,
     Trajectory,
-    closed_form_curve,
     iterate,
     perturbed_orbit,
-    residual_ledger,
-    second_order_reduce,
     shadow_contracting,
     shadow_expanding,
 )

@@ -1,11 +1,13 @@
 """Stability classification of coefficient sequences.
 
-Constant and periodic specs admit an exact verdict through the cycle
-product q = prod_{k<=p} a_k: |q| < 1 and |q| > 1 are both Stable (with
-different shadow constructions and tracking constants) while |q| = 1 is
-Unstable because the partial products stay bounded and bounded away from
-zero. Everything else is estimated at a finite horizon from the windowed
-behaviour of the geometric-mean exponent L_n / n and labelled as such.
+Every spec of listed entries, except a table with an error tail, is a
+finite prefix plus a cycle that repeats for ever, and admits an exact
+verdict through the cycle product q = prod a_k: |q| < 1 and |q| > 1 are
+both Stable (with different shadow constructions and tracking constants)
+while |q| = 1 is Unstable because the partial products stay bounded and
+bounded away from zero. Formula families and error-tail tables are
+estimated at a finite horizon from the windowed behaviour of the
+geometric-mean exponent L_n / n and labelled as such.
 
 A Stable verdict's tracking constant c is the exact error envelope of the
 shadow construction it names, so sup_n |w_n - z_n| <= c epsilon for every
@@ -25,6 +27,7 @@ import numpy as np
 from .errors import IndexOutOfRange
 from .products import (
     PartialProductLedger,
+    _floored_exp,
     build_ledger,
     log_cumsum_exp,
     tracking_sum_max,
@@ -131,56 +134,92 @@ class StabilityVerdict:
         }
 
 
-def _cycle_log_sup(log_x: np.ndarray) -> float:
-    """log of max over rotations l of sum_{t=1..p} prod_{j<t} x_{l+j}, for
+def _cycle_log_sums(log_x: np.ndarray) -> np.ndarray:
+    """Slot l: log of sum_{t=1..p} prod_{j<t} x_{l+j}, the rotation-l sum of
     the cycle x_0..x_{p-1} given as log x.
 
     With C_k = log x_0 + ... + log x_{k-1} and s = C_p, the rotation-l sum
     is e^{-C_l} (sum_{l<k<=p} e^{C_k} + e^s sum_{1<=k<=l} e^{C_k}): two sums
     of positive terms, summed by log_cumsum_exp from either end of the
-    cycle, so no rotation is summed twice and nothing cancels.
+    cycle, so no rotation is summed twice and nothing cancels. The two are
+    joined at their larger, as log_cumsum_exp joins a chunk to its carry.
     """
     C = np.cumsum(log_x)  # slot k - 1: C_k
     tail = log_cumsum_exp(C[::-1].copy())[::-1]  # slot l: log sum_{l<k<=p} e^{C_k}
     head = np.concatenate([[-np.inf], C[:-1]])
     log_cumsum_exp(head[1:])  # slot l: log sum_{k<=l} e^{C_k}
-    start = np.concatenate([[0.0], C[:-1]])  # slot l: C_l
-    return float(np.max(np.logaddexp(tail, C[-1] + head) - start))
+    head += C[-1]
+    top = np.maximum(tail, head)
+    tail -= top
+    head -= top
+    sums = _floored_exp(tail) + _floored_exp(head)
+    np.log(sums, out=sums)
+    sums += top
+    sums[1:] -= C[:-1]  # less C_l
+    return sums
 
 
 def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -> StabilityVerdict:
-    """Exact trichotomy on |q|, q = product of one full cycle of a-values.
+    """Exact trichotomy on |q|, q = product of the cycle a_s..a_k that
+    follows the prefix a_1..a_{s-1}, s = spec.cycle_start.
 
-    Constant specs classify as period 1. Both Stable constants are closed
-    forms over one cycle of the reciprocal magnitudes x_k = 1/|a_k|, with
-    S = max_l sum_{t=1..p} prod_{j<t} x_{l+j} and Q = |q|. Expanding, the
-    series envelope sup_m sum_{k>m} |p(m, 1) / p(k, 1)| is S / (1 - 1/Q).
-    Contracting, the supremum of the tracking sums 1 + |a_n| + |a_n a_{n-1}|
-    + ... is the limit of their largest residue class, Q S / (1 - Q). Both
-    denominators are -expm1(-|log Q|), which stays exact where Q rounds
-    to 1; the sums are carried in log space.
+    The constants hold at infinite horizon. With x_j = 1/|a_j| over the
+    cycle, S_l the rotation-l sum of _cycle_log_sums and Q = |q|, a cycle's
+    series envelope sup_m sum_{k>m} |p(m, 1) / p(k, 1)| is max_l S_l /
+    (1 - 1/Q), and its tracking sums 1 + |a_n| + |a_n a_{n-1}| + ... tend
+    to at most Q max_l S_l / (1 - Q). Both denominators are
+    -expm1(-|log Q|), which stays exact where Q rounds to 1; the sums are
+    carried in log space. A prefix adds what it reaches before the cycle:
+    - contracting, T_{n+p} = A + Q T_n once a_{n+1} is in the cycle, so
+      along each residue class T_n moves monotonically to its limit and its
+      supremum is reached within the first s + p indices or is the limit;
+    - expanding, the envelope at m < s sums e^{L_m - L_k} over the prefix
+      and, past it, e^{L_m - L_s} times the rotation-0 series: one reversed
+      log_cumsum_exp seeded with the log of that geometric tail.
+    log_sup_abs_p, max L_1..L_N over the configured horizon, is read off
+    the first cycle and the count of cycles that fit.
     """
     cfg = cfg or HorizonConfig()
-    if spec.kind not in ("constant", "periodic"):
-        raise ValueError(f"exact cycle classification needs constant or periodic, got {spec.kind}")
-    p = len(spec.entries)
-    (log_mag,) = coeff_arrays(spec, np.arange(1, p + 1), "log_abs")
+    s = spec.cycle_start
+    if s is None:
+        raise ValueError("exact cycle classification needs constant or periodic entries, or a table with "
+                         f"tail 'repeat'; got a {spec.kind} spec with no cycle")
+    k = len(spec.entries)
+    p = k - s + 1
+    ledger = build_ledger(spec, k + 1)
+    L = ledger.logmag
+    (log_mag,) = coeff_arrays(spec, np.arange(s, k + 1), "log_abs")
     log_q = math.fsum(log_mag.tolist())
+    N = cfg.N
+    log_sup_p = float(np.max(L[1 : min(N, k) + 1]))
+    if log_q > 0.0 and N > k:  # each slot of the cycle at its last index up to N
+        log_sup_p = max(log_sup_p, float(np.max(L[s : k + 1] + (N - np.arange(s, k + 1)) // p * log_q)))
     estimates = {
         "geomean_exponent": log_q / p,
         "log_abs_cycle_product": log_q,
+        "log_sup_abs_p": log_sup_p,
         "period": float(p),
     }
-    if log_q == 0.0:
+
+    def verdict(status, criterion, log_constant=None):
         return StabilityVerdict(
-            status=UNSTABLE, criterion="bounded_products", log_constant=None,
+            status=status, criterion=criterion, log_constant=log_constant,
             estimates=estimates, finite_horizon=False, horizon=None, config=cfg,
         )
-    log_c = _cycle_log_sup(-log_mag) - math.log(-math.expm1(-abs(log_q))) + min(log_q, 0.0)
-    return StabilityVerdict(
-        status=STABLE, criterion="periodic_contracting" if log_q < 0.0 else "periodic_expanding",
-        log_constant=log_c, estimates=estimates, finite_horizon=False, horizon=None, config=cfg,
-    )
+
+    if log_q == 0.0:
+        return verdict(UNSTABLE, "bounded_products")
+    log_sums = _cycle_log_sums(-log_mag)
+    log_geom = -math.log(-math.expm1(-abs(log_q)))  # log 1 / (1 - min(Q, 1/Q))
+    log_cycle = float(np.max(log_sums)) + log_geom
+    if log_q < 0.0:
+        return verdict(STABLE, "periodic_contracting", max(log_cycle + log_q, tracking_sum_max(ledger, k + 1)))
+    env = np.empty(s)  # slot i: log sum_{j>m} e^{-L_j}, m = s - i; then plus L_m
+    env[0] = float(log_sums[0]) + log_geom - L[s]
+    np.negative(L[s:1:-1], out=env[1:])
+    log_cumsum_exp(env)
+    env += L[s:0:-1]
+    return verdict(STABLE, "periodic_expanding", max(log_cycle, float(np.max(env))))
 
 
 def classify_numeric(
@@ -256,10 +295,10 @@ def classify(
     cfg: HorizonConfig | None = None,
     ledger: PartialProductLedger | None = None,
 ) -> StabilityVerdict:
-    """Front door: exact cycle classification when the spec allows it,
-    finite-horizon estimation otherwise."""
+    """Front door: exact classification of every spec that ends in a cycle,
+    finite-horizon estimation of the rest (formula families, error tails)."""
     cfg = cfg or HorizonConfig()
-    if spec.kind in ("constant", "periodic"):
+    if spec.cycle_start is not None:
         return classify_periodic(spec, cfg)
     if ledger is None or ledger.horizon < cfg.N:
         ledger = build_ledger(spec, cfg.N)

@@ -1,4 +1,4 @@
-"""Exact orbits, perturbed orbits, residual calculus, and shadow constructions.
+"""Exact orbits, perturbed orbits, and the shadow constructions of the residual identity.
 
 The driving identity: for w_{n+1} = a_n w_n + b_n + r_n and any exact
 solution z of z_{n+1} = a_n z_n + b_n,
@@ -30,7 +30,6 @@ from .errors import IndexOutOfRange, TailNotConvergent
 from .products import (
     PartialProductLedger,
     _csv_text,
-    _prefix_sums,
     geometric_mean_exponent,
     scaled_cumsum,
 )
@@ -151,45 +150,6 @@ def _series_term_logs(ledger: PartialProductLedger, t: np.ndarray):
     return log_mag, phase
 
 
-def closed_form_curve(spec: CoefficientSpec, ledger: PartialProductLedger, z1: complex, N: int) -> np.ndarray:
-    """Closed-form z_n for every n = 1..N in O(N), via scaled prefix sums.
-
-    Uses z_n = p(n, 1) (z_1 + C_{n-1}) with C_m = sum_{j<=m} b_j / p(j+1, 1)
-    carried as (scale, mantissa) pairs, so strongly contracting or
-    expanding sequences never push an intermediate outside float range.
-    """
-    if not 1 <= N <= ledger.horizon + 1:
-        raise IndexOutOfRange(f"N={N} outside [1, {ledger.horizon + 1}]")
-    L, th = ledger.logmag, ledger.phase
-    (b,) = coeff_arrays(spec, np.arange(1, N), "b")
-    scale, mant = scaled_cumsum(*_series_term_logs(ledger, b))
-
-    values = np.empty(N + 1, dtype=complex)
-    values[0] = np.nan
-    with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-        shifted = complex(z1) * np.exp(-scale) + mant  # z_1 + C_{n-1}, in block scale
-        log_z = L[1 : N + 1] + scale + np.log(np.abs(shifted))
-        ang = th[1 : N + 1] + np.angle(shifted)
-        values[1:] = np.exp(log_z + 1j * ang)
-    values[1] = complex(z1)
-    return values
-
-
-def residual_ledger(orbit: PerturbedOrbit, spec: CoefficientSpec, check: bool = True) -> np.ndarray:
-    """R_0..R_{N-1}, slot n holding R_n = a_n R_{n-1} + r_n, R_0 = 0.
-
-    When check is set, verifies the converse identity
-    w_{n+1} = (exact orbit from w_1)_{n+1} + R_n (see _check_identity).
-    """
-    N = len(orbit)
-    (a,) = coeff_arrays(spec, np.arange(1, N), "a")
-    values = _recur(0j, a, None, orbit.perturbations[1:])[1:]
-    if check:
-        L = _prefix_sums(spec, N - 1, "log_abs")  # slot n holds L_n
-        _check_identity(orbit, iterate(spec, orbit.w1, N), values, L)
-    return values
-
-
 def _check_identity(orbit: PerturbedOrbit, exact: Trajectory, R: np.ndarray, L: np.ndarray) -> None:
     """Raise ArithmeticError unless w_n - z_n = R_{n-1} for n = 2..N, with z
     the orbit `exact`, wherever both sides are float-representable.
@@ -292,40 +252,6 @@ def shadow_expanding(
             f"tail estimate {tail_estimate:.3g} at horizon {N} exceeds tolerance {tail_tol:.3g}"
         )
     return _shadow(orbit, spec, ledger, series_start=True, tail_estimate=tail_estimate)
-
-
-def second_order_reduce(
-    s: complex,
-    q: complex,
-    u: complex,
-    v: complex,
-    z_minus1: complex,
-    z0: complex,
-    N: int,
-) -> np.ndarray:
-    """Second-order form of the period-2 system: z_1..z_N from z_{-1}, z_0.
-
-    Generates the pair of recurrences
-        z_{2k+1} = (q - 1) z_{2k}   + s z_{2k-1} + v + u
-        z_{2k+2} = (s - 1) z_{2k+1} + q z_{2k}   + u + v
-    which the first-order orbit with alternating coefficients (q, v), (s, u)
-    satisfies whenever z_0 = s z_{-1} + u. Returned index-aligned, slot 0
-    padding.
-    """
-    if N < 1:
-        raise IndexOutOfRange(f"sequence length must be >= 1, got {N}")
-    out = np.empty(N + 1, dtype=complex)
-    out[0] = np.nan
-    prev2, prev = complex(z_minus1), complex(z0)
-    su = complex(u) + complex(v)
-    for n in range(1, N + 1):
-        if n % 2 == 1:
-            z = (q - 1) * prev + s * prev2 + su
-        else:
-            z = (s - 1) * prev + q * prev2 + su
-        out[n] = z
-        prev2, prev = prev, z
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,12 @@
 
 A CoefficientSpec is an immutable generator of coefficient pairs, indexed
 from n = 1. Four kinds exist: a single constant pair, a periodic list, a
-named formula family, and a finite table with an explicit tail rule. A
-constant is a cycle of one: it lists one entry and is read as a cycle.
+named formula family, and a finite table with an explicit tail rule. Every
+spec of listed entries is a prefix plus a cycle, or a table with nothing
+past its end: index n reads entry n up to the entry where the cycle
+starts (cycle_start), then the cycle repeats for ever. A constant or a
+period is a cycle from entry 1, a repeat-tail table a cycle of its last
+entry.
 coeff_arrays is the one definition of the coefficients: it returns the
 columns a reader names, out of a_n, b_n, log|a_n| and arg a_n, over a whole
 index array, and every reader (the ledger, the cycle classifier, the
@@ -61,17 +65,25 @@ class CoefficientSpec:
     formula: FormulaSpec | None = None
     tail: str = "error"
 
+    @property
+    def cycle_start(self) -> int | None:
+        """The entry s at which the cycle of a listed spec starts: index n
+        reads entry n before s, and entries s..k repeat for ever from n = s. It
+        is 1 for a constant or a period and k for a repeat-tail table, whose
+        cycle is its last entry; an error tail or a formula has none (None).
+        Derived from kind and tail, so the wire format does not hold it."""
+        if self.kind in ("constant", "periodic"):
+            return 1
+        if self.kind == "table" and self.tail == "repeat":
+            return len(self.entries)
+        return None
+
     @cached_property
     def _slots(self) -> np.ndarray:
         """The (2, k) complex array whose rows are the a and the b of the
-        listed entries, each row contiguous (np.take copies a strided
-        source whole) and laid out for direct reads: index n reads slot
-        (n mod p) - 1 of a cycle, so slot -1 is entry p, and slot
-        min(n, length) of a table, whose slot 0 repeats entry 1."""
-        slots = np.asarray(self.entries, complex).T
-        if self.kind == "table":
-            slots = np.concatenate((slots[:, :1], slots), axis=1)
-        return np.ascontiguousarray(slots)
+        listed entries, entry j in slot j - 1, each row contiguous (np.take
+        copies a strided source whole)."""
+        return np.ascontiguousarray(np.asarray(self.entries, complex).T)
 
     @cached_property
     def _log_abs(self) -> np.ndarray:
@@ -132,13 +144,14 @@ def coeff_arrays(spec: CoefficientSpec, n, *columns: str) -> tuple[np.ndarray, .
     every index in the integer array n >= 1; all four when none is named.
 
     The one definition of the coefficients, and only the named columns are
-    computed. Constant, periodic and table specs take the log and phase of
-    each listed entry once, on first read, then index; formula families
-    evaluate their closed forms over the array. Cycles, a constant among
-    them, read entry ((n - 1) mod p) + 1; tables past their end follow the
-    tail rule. Same spec and n give identical values bit for bit, whichever
-    columns are named with them. A zero a_n is refused when a or log|a| is
-    read: log|a_n| = -inf exactly where a_n = 0.
+    computed. Listed specs take the log and phase of each entry once, on
+    first read, then gather: index n reads entry n before the cycle start,
+    a cycle of one by clipping at its entry, a period mod its length;
+    an error-tail table refuses an index past its end. Formula families
+    evaluate their closed forms over the array. Same spec and n give
+    identical values bit for bit, whichever columns are named with them. A
+    zero a_n is refused when a or log|a| is read: log|a_n| = -inf exactly
+    where a_n = 0.
     """
     columns = columns or COLUMNS
     if not set(columns) <= set(COLUMNS):
@@ -148,17 +161,14 @@ def coeff_arrays(spec: CoefficientSpec, n, *columns: str) -> tuple[np.ndarray, .
         raise IndexError(f"coefficient index must be >= 1, got {int(n.min())}")
     if spec.kind == "formula":
         out = tuple(_formula_column(spec.formula, n, c) for c in columns)
-    elif spec.kind in ("constant", "periodic"):
-        k = n % len(spec.entries)
-        k -= 1
-        out = tuple(spec._entry_column(c)[k] for c in columns)
-    elif spec.kind == "table":
-        size = len(spec.entries)
-        if spec.tail != "repeat" and n.size and n.max() > size:
-            raise IndexOutOfRange(f"table of length {size} read at n={int(n[n > size][0])} with error tail")
-        out = tuple(spec._entry_column(c).take(n, mode="clip") for c in columns)
     else:
-        raise ValueError(f"unknown spec kind {spec.kind!r}")
+        size, start = len(spec.entries), spec.cycle_start
+        if start is None and n.size and n.max() > size:
+            raise IndexOutOfRange(f"table of length {size} read at n={int(n[n > size][0])} with error tail")
+        k = n - 1
+        if start is not None and start < size:  # a cycle of more than one entry starts at entry 1
+            k %= size
+        out = tuple(spec._entry_column(c).take(k, mode="clip") for c in columns)
     for name, col in zip(columns, out):
         if name in ("a", "log_abs"):  # name the first index whose a_n = 0
             zero = col == (0 if name == "a" else -math.inf)
@@ -194,8 +204,6 @@ def validate(spec: CoefficientSpec) -> CoefficientSpec:
     if spec.kind == "table" and spec.tail not in TAIL_RULES:
         raise ValueError(f"table tail rule must be one of {TAIL_RULES}, got {spec.tail!r}")
     (a, b), log_mag = spec._slots, spec._log_abs
-    if spec.kind == "table":  # slot 0 repeats entry 1
-        a, b, log_mag = a[1:], b[1:], log_mag[1:]
     bad = ~(np.isfinite(a) & np.isfinite(b))
     if bad.any():
         k = int(np.argmax(bad))

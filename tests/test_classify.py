@@ -77,8 +77,8 @@ def test_numeric_sparse3_squares_subexponential():
 
 
 def test_numeric_constant_expanding_constant_value():
-    # table copy of constant 2 forces the numeric path; the series envelope
-    # sum_{k>m} 2^{m-k} up to the horizon is 1 - 2^{-N}
+    # the numeric path, called on a table copy of constant 2: the series
+    # envelope sum_{k>m} 2^{m-k} up to the horizon is 1 - 2^{-N}
     spec = hs.table_spec([(2.0, 5.0)], tail="repeat")
     cfg = HorizonConfig(N=10_000)
     led = hs.build_ledger(spec, cfg.N)
@@ -228,7 +228,7 @@ def test_tracking_constant_values():
     c = hs.classify(hs.builtin_example("period3_2_i_third"), cfg).constant
     assert c < 16.0
     assert c == pytest.approx(12.0, rel=1e-12)
-    # the same sequences through the numeric path, as tables
+    # the same sequences as repeat-tail tables: a prefix plus a cycle of one
     for a, expect in ((0.5, 2.0), (3.0, 0.5)):
         v = hs.classify(hs.table_spec([(a, 5.0)], tail="repeat"), cfg)
         assert v.constant == pytest.approx(expect, rel=1e-12)
@@ -275,8 +275,8 @@ def test_config_validation():
 
 # Each Stable constant is the exact error envelope of the shadow its verdict
 # names. A table of 60 entries a = 0.5, then a = 3 repeating, has the series
-# envelope sum_{k=2}^{61} 2^{k-1} + 2^60 sum_{j>=1} 3^{-j} at m = 1, whatever
-# the horizon past the run.
+# envelope sum_{k=2}^{61} 2^{k-1} + 2^60 sum_{j>=1} 3^{-j} at m = 1, at
+# every horizon, inside the run or past it.
 _RUN_TABLE = hs.table_spec([(0.5, 1.0)] * 60 + [(3.0, 1.0)], tail="repeat")
 
 
@@ -286,11 +286,135 @@ _RUN_TABLE = hs.table_spec([(0.5, 1.0)] * 60 + [(3.0, 1.0)], tail="repeat")
     (hs.builtin_example("constant", a=2, b=5), 200, 1.0),
     (_RUN_TABLE, 200, 2.0**61 + 2.0**59 - 2.0),
     (_RUN_TABLE, 2000, 2.0**61 + 2.0**59 - 2.0),
+    (_RUN_TABLE, 2, 2.0**61 + 2.0**59 - 2.0),
+    (_RUN_TABLE, 61, 2.0**61 + 2.0**59 - 2.0),
+    (_RUN_TABLE, 10**6, 2.0**61 + 2.0**59 - 2.0),
 ])
 def test_stable_constants_are_exact_envelopes(spec, N, expect):
     v = hs.classify(spec, HorizonConfig(N=N))
     assert v.status == STABLE
     assert v.constant == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("x, status, criterion", [
+    (1.01, STABLE, "periodic_expanding"),
+    (0.99, STABLE, "periodic_contracting"),
+    (0.981, STABLE, "periodic_contracting"),
+    (1.019, STABLE, "periodic_expanding"),
+    (1.0, UNSTABLE, "bounded_products"),
+])
+def test_repeat_table_of_a_constant_is_the_constant(x, status, criterion):
+    # A tail |a| inside the estimator's band, which a windowed estimate of
+    # L_n / n cannot tell from 1; the cycle decides exactly.
+    const = hs.classify(hs.constant_spec(x, 1))
+    table = hs.classify(hs.table_spec([(x, 1)] * 3, tail="repeat"))
+    for v in (const, table):
+        assert (v.status, v.criterion, v.finite_horizon, v.horizon) == (status, criterion, False, None)
+    if status == STABLE:
+        assert table.constant == pytest.approx(const.constant, rel=1e-12)
+        assert table.log_constant == pytest.approx(const.log_constant, abs=1e-12)
+
+
+def test_error_tail_has_no_cycle_and_is_estimated():
+    spec = hs.table_spec([(0.5, 1.0)] * 100, tail="error")
+    assert spec.cycle_start is None
+    v = hs.classify(spec, HorizonConfig(N=100))
+    assert v.finite_horizon and v.horizon == 100 and v.criterion == "geomean_contracting"
+    with pytest.raises(ValueError, match="got a table spec with no cycle"):
+        hs.classify_periodic(spec)
+
+
+_MODULUS_NEAR_ONE = st.one_of(st.floats(0.5, 2.0), st.floats(1 - 1e-9, 1 + 1e-9), st.just(1.0))
+# quarter turns keep |a| = r exact, so r = 1 gives |a| = 1
+_PHASES = st.sampled_from([1, 1j, -1, -1j, complex(math.cos(0.6), math.sin(0.6))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=_MODULUS_NEAR_ONE, phase=_PHASES, b=st.complex_numbers(max_magnitude=5),
+       k=st.integers(1, 50), N=st.sampled_from([2, 3, 49, 50, 51, 1000, 10**6]))
+def test_constant_and_its_repeat_table_give_one_answer(r, phase, b, k, N):
+    a = r * phase
+    cfg = HorizonConfig(N=N)
+    const = hs.classify(hs.constant_spec(a, b), cfg)
+    table = hs.classify(hs.table_spec([(a, b)] * k, tail="repeat"), cfg)
+    assert (table.status, table.criterion) == (const.status, const.criterion)
+    assert table.finite_horizon is const.finite_horizon is False
+    if const.log_constant is None:
+        assert table.log_constant is None
+    else:
+        assert table.log_constant == pytest.approx(const.log_constant, abs=1e-12)
+    for key, value in const.estimates.items():
+        assert table.estimates[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 30), r=st.one_of(st.floats(0.98, 1.02), st.just(1.0)),
+       unit=st.sampled_from([1, -1, 1j, -1j]), N=st.sampled_from([2, 100, 10_000, 10**6]))
+def test_repeat_tail_status_follows_the_last_modulus(seed, n, r, unit, N):
+    # Whatever the prefix, the products end up ruled by |a_last|: above 1
+    # expanding, below 1 contracting, at 1 bounded. A windowed estimate
+    # cannot tell these apart within its band.
+    rng = np.random.default_rng(seed)
+    logs = rng.uniform(math.log(0.25), math.log(4.0), n)
+    a = [*np.exp(logs + 2j * np.pi * rng.uniform(0, 1, n)), r * unit]
+    spec = hs.table_spec([(x, 1.0) for x in a], tail="repeat")
+    v = hs.classify(spec, HorizonConfig(N=N))
+    last = abs(complex(a[-1]))
+    if last == 1.0:
+        assert (v.status, v.criterion) == (UNSTABLE, "bounded_products")
+    else:
+        assert v.status == STABLE and math.isfinite(v.log_constant)
+        assert v.criterion == ("periodic_expanding" if last > 1.0 else "periodic_contracting")
+    assert all(math.isfinite(x) for x in v.estimates.values())
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 20), sign=st.sampled_from([-1, 1]))
+def test_exact_table_constants_bound_every_horizon_and_match_mpmath(seed, n, sign):
+    # The exact constant bounds the horizon constant at every N, and at a
+    # horizon whose dropped tail is below e^-30 it is the mpmath supremum
+    # of the tracking sums (contracting) or of the series envelope
+    # (expanding) over that horizon.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(seed)
+    logs = [*rng.uniform(math.log(0.25), math.log(4.0), n), sign * rng.uniform(0.5, 1.4)]
+    a = np.exp(np.array(logs) + 2j * np.pi * rng.uniform(0, 1, n + 1))
+    spec = hs.table_spec([(x, 1.0) for x in a], tail="repeat")
+    v = hs.classify(spec)
+    assert v.criterion == ("periodic_contracting" if sign < 0 else "periodic_expanding")
+    k = n + 1
+    L = hs.build_ledger(spec, k + 1).logmag
+    if sign < 0:  # past the prefix, T_n nears its limit by |a_k| a step
+        far = k + 1 + math.ceil(30.0 / abs(logs[-1]))
+    else:  # L climbs by log|a_k| a step: until 30 above every L the supremum may start from
+        far = k + 1 + math.ceil((30.0 + float(np.max(L[1 : k + 2])) - float(L[k])) / logs[-1])
+    horizon = hs.tracking_sum_max if sign < 0 else log_series_envelope
+    for N in sorted({1, 2, k, k + 1, k + 2, 2 * k + 5, far}):
+        assert horizon(hs.build_ledger(spec, N), N) <= v.log_constant + 1e-12, N
+    a_far, _ = coeffs_upto(spec, far + 1)
+    with mpmath.workprec(200):
+        if sign < 0:
+            mods = [None, *(mpmath.mpf(abs(complex(x))) for x in a_far[1:])]
+            ref = mpmath.log(max(brute_tracking_sum(mods, m) for m in range(1, far + 1)))
+        else:
+            ref = mpmath.log(brute_series_envelope(a_far, far))
+    assert abs(v.log_constant - float(ref)) <= 1e-12 + 8 * np.spacing(abs(float(ref)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["cycle", "table"]), k=st.integers(1, 40),
+       N=st.integers(2, 3000))
+def test_exact_log_sup_abs_p_is_the_horizon_maximum(seed, kind, k, N):
+    # The exact path reads max L_1..L_N off the first cycle; the numeric
+    # path scans a ledger of N indices. They agree to the ledger's rounding.
+    rng = np.random.default_rng(seed)
+    a = np.exp(rng.uniform(-1.0, 1.0, k) + 2j * np.pi * rng.uniform(0, 1, k))
+    pairs = [(x, 1.0) for x in a]
+    spec = hs.periodic_spec(pairs) if kind == "cycle" else hs.table_spec(pairs, tail="repeat")
+    cfg = HorizonConfig(N=N)
+    exact = hs.classify(spec, cfg).estimates["log_sup_abs_p"]
+    numeric = hs.classify_numeric(spec, hs.build_ledger(spec, N), cfg).estimates["log_sup_abs_p"]
+    assert exact == pytest.approx(numeric, rel=1e-12, abs=1e-12)
 
 
 def _phase_aligned_shadow(spec, N, eps):

@@ -54,7 +54,7 @@ def test_classify_undetermined_exit_code(tmp_path, capsys):
         a[lo - 1 : mid - 1] = 2.0
         a[mid - 1 : hi - 1] = 0.5
         k += 1
-    spec = hs.table_spec([(x, 1.0) for x in a], tail="repeat")
+    spec = hs.table_spec([(x, 1.0) for x in a], tail="error")  # covers the horizon, so no cycle decides
     path = tmp_path / "osc.json"
     path.write_text(json.dumps(hs.spec_to_json(spec)))
     code, out, _ = run(capsys, "classify", "--spec", str(path), "--horizon", str(n))
@@ -67,8 +67,9 @@ def _reject_constant(name):
 
 
 def test_classify_stdout_is_strict_json_past_overflow(tmp_path, capsys):
-    # an |a| = 3 tail drives L_n to ~2200, far past exp's range at ~709
-    spec = hs.table_spec([(0.5, 1.0)] * 10 + [(3.0, 5.0)], tail="repeat")
+    # an |a| = 3 run drives L_n to ~2200, far past exp's range at ~709; the
+    # table covers the horizon, so the numeric path prints its estimates
+    spec = hs.table_spec([(0.5, 1.0)] * 10 + [(3.0, 5.0)] * 1990, tail="error")
     path = tmp_path / "tail3.json"
     path.write_text(json.dumps(hs.spec_to_json(spec)))
     code, out, _ = run(capsys, "classify", "--spec", str(path), "--horizon", "2000")
@@ -361,10 +362,9 @@ def test_public_names_are_pinned():
         "BUILTIN_NAMES", "CoefficientSpec", "DivergenceCurve", "HorizonConfig", "OracleResult",
         "PartialProductLedger", "PerturbationPlan", "PerturbedOrbit", "ShadowResult",
         "StabilityVerdict", "Trajectory", "best_shadow_oracle", "build_ledger", "builtin_example", "classify",
-        "classify_numeric", "classify_periodic", "closed_form_curve", "coeff_arrays", "constant_spec",
-        "dynamics", "errors", "geometric_mean_exponent", "iterate", "make_witness", "periodic_spec",
-        "perturbed_orbit", "products", "realize_plan", "residual_ledger", "run_witness",
-        "second_order_reduce", "sequences", "shadow_contracting", "shadow_expanding", "spec_from_json",
+        "classify_numeric", "classify_periodic", "coeff_arrays", "constant_spec", "dynamics", "errors",
+        "geometric_mean_exponent", "iterate", "make_witness", "periodic_spec", "perturbed_orbit", "products",
+        "realize_plan", "run_witness", "sequences", "shadow_contracting", "shadow_expanding", "spec_from_json",
         "spec_to_json", "table_spec", "tracking_sum_max", "validate", "witness",
     ]
 

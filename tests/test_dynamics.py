@@ -9,10 +9,13 @@ from conftest import (
     brute_partial_product,
     brute_residuals,
     closed_form_at,
+    closed_form_curve,
     coeffs_upto,
     padded,
     random_disc,
     random_table_spec,
+    residual_ledger,
+    second_order_reduce,
 )
 from hustab.dynamics import _check_identity
 from hustab.errors import TailNotConvergent
@@ -67,7 +70,7 @@ def test_closed_form_equals_iterate(seed):
     led = hs.build_ledger(spec, n)
     z1 = complex(random_disc(rng, 1, 5.0)[0])
     traj = hs.iterate(spec, z1, n)
-    curve = hs.closed_form_curve(spec, led, z1, n)
+    curve = closed_form_curve(spec, led, z1, n)
     assert np.all(np.abs(curve[1:] - traj.values[1:]) <= 1e-9 * (1 + np.abs(traj.values[1:])))
     _, b = coeffs_upto(spec, n)
     for m in (2, n // 3, n):
@@ -78,7 +81,7 @@ def test_closed_form_equals_iterate(seed):
 def test_residuals_zero_perturbation():
     spec = hs.builtin_example("period3_2_i_third")
     orbit = hs.perturbed_orbit(spec, 1.0, padded(np.zeros(49)), 0.0)
-    res = hs.residual_ledger(orbit, spec)
+    res = residual_ledger(orbit, spec)
     assert np.all(res == 0)
 
 
@@ -93,7 +96,7 @@ def test_residuals_product_pattern_gives_n_times_product():
         r = padded([brute_partial_product(a, j + 1, 1) for j in range(1, n)])
         eps = float(np.max(np.abs(r[1:])))
         orbit = hs.perturbed_orbit(spec, 0.3 + 0.1j, r, eps)
-        res = hs.residual_ledger(orbit, spec)
+        res = residual_ledger(orbit, spec)
         for m in range(1, n - 1):
             expect = m * brute_partial_product(a, m + 1, 1)
             assert abs(res[m] - expect) <= 1e-9 * (1 + abs(expect))
@@ -103,7 +106,7 @@ def test_residuals_geometric_recursion():
     # constant a = 2 with r = 1: R_n = 2^n - 1 by the geometric recursion
     spec = hs.builtin_example("constant", a=2, b=0)
     orbit = hs.perturbed_orbit(spec, 0.0, padded(np.ones(39)), 1.0)
-    res = hs.residual_ledger(orbit, spec)
+    res = residual_ledger(orbit, spec)
     for m in range(1, 39):
         assert res[m] == pytest.approx(2.0**m - 1.0, rel=1e-12)
 
@@ -116,7 +119,7 @@ def test_residual_round_trip(seed):
     spec = random_table_spec(rng, n, amin=0.5, amax=2.0)
     r = padded(random_disc(rng, n - 1, 1.0))
     orbit = hs.perturbed_orbit(spec, complex(random_disc(rng, 1, 3)[0]), r, 1.0)
-    res = hs.residual_ledger(orbit, spec, check=True)  # raises on violation
+    res = residual_ledger(orbit, spec, check=True)  # raises on violation
     exact = hs.iterate(spec, orbit.w1, n)
     recon = exact.values[2:] + res[1 : n - 1 + 1]
     assert np.all(np.abs(orbit.values[2:] - recon) <= 1e-9 * (1 + np.abs(orbit.values[2:])))
@@ -142,7 +145,7 @@ def test_orbits_equal_naive_recursion_exactly():
         assert np.array_equal(z[1:], brute_orbit(a, b, 0.5 - 0.25j, n)[1:])
         orbit = hs.perturbed_orbit(spec, 1j, r, 0.1)
         assert np.array_equal(orbit.values[1:], brute_orbit(a, b, 1j, n, r)[1:])
-        res = hs.residual_ledger(orbit, spec, check=False)
+        res = residual_ledger(orbit, spec, check=False)
         assert np.array_equal(res, brute_residuals(a, r, n - 1))
 
 
@@ -209,11 +212,11 @@ def test_shadow_contracting_orbit_through_large_values():
     res = hs.shadow_contracting(orbit, spec, led)
     rr = brute_residuals(coeffs_upto(spec, 64)[0], r, 63)
     assert np.allclose(res.errors[2:], np.abs(rr[1:64]), rtol=1e-12, atol=0.0)
-    hs.residual_ledger(orbit, spec, check=True)
+    residual_ledger(orbit, spec, check=True)
     # a trajectory off by a relative 1e-6 still fails the identity
     off = hs.Trajectory(values=res.trajectory.values * (1.0 + 1e-6))
     with pytest.raises(ArithmeticError):
-        _check_identity(orbit, off, hs.residual_ledger(orbit, spec, check=False), led.logmag)
+        _check_identity(orbit, off, residual_ledger(orbit, spec, check=False), led.logmag)
 
 
 def test_shadow_expanding_constant2_bound():
@@ -326,12 +329,12 @@ def test_shadow_expanding_rejects_contracting_tail():
 
 def test_second_order_identity_pair_is_constant():
     c = 2.5 + 1j
-    seq = hs.second_order_reduce(1, 1, 0, 0, c, c, 40)
+    seq = second_order_reduce(1, 1, 0, 0, c, c, 40)
     assert np.all(seq[1:] == c)
 
 
 def test_second_order_hand_values():
-    seq = hs.second_order_reduce(2, 0.5, 0, 0, 1.0, 2.0, 2)
+    seq = second_order_reduce(2, 0.5, 0, 0, 1.0, 2.0, 2)
     assert seq[1] == pytest.approx(1.0 + 0j)  # (1/2 - 1) * 2 + 2 * 1
     assert seq[2] == pytest.approx(2.0 + 0j)  # (2 - 1) * 1 + (1/2) * 2
 
@@ -341,7 +344,7 @@ def test_second_order_matches_alternating_first_order():
     z0 = 1 + 0.5j
     zm1 = (z0 - u) / s  # consistency: z_0 = s z_{-1} + u
     N = 500
-    seq = hs.second_order_reduce(s, q, u, v, zm1, z0, N)
+    seq = second_order_reduce(s, q, u, v, zm1, z0, N)
     first = hs.iterate(hs.periodic_spec([(q, v), (s, u)]), z0, N + 1)
     assert np.all(np.abs(seq[1:] - first.values[2:]) <= 1e-9 * (1 + np.abs(first.values[2:])))
 

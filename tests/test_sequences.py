@@ -101,6 +101,29 @@ def test_table_tail_rules():
     assert coeff_at(rep, 10) == (3 + 0j, 1 + 0j)
 
 
+def test_cycle_start_is_derived_from_kind_and_tail():
+    # Every listed spec is a prefix plus a cycle from slot cycle_start; an
+    # error tail and a formula have no cycle. Not a field, not on the wire.
+    pairs = [(2, 1), (0.5, 1), (3, 1)]
+    cases = [
+        (hs.constant_spec(2, 1), 1),
+        (hs.periodic_spec(pairs), 1),
+        (hs.table_spec(pairs, tail="repeat"), 3),
+        (hs.table_spec(pairs, tail="error"), None),
+        (hs.builtin_example("near_parabolic"), None),
+    ]
+    for spec, start in cases:
+        assert spec.cycle_start == start
+        assert "cycle_start" not in json.dumps(spec_to_json(spec))
+    with pytest.raises(TypeError):
+        CoefficientSpec(kind="periodic", entries=hs.periodic_spec(pairs).entries, cycle_start=2)
+    # the one gather: a prefix read once, then the cycle for ever
+    n = np.arange(1, 13)
+    for spec, want in ((cases[1][0], [2, 0.5, 3] * 4), (cases[2][0], [2, 0.5] + [3] * 10)):
+        (a,) = coeff_arrays(spec, n, "a")
+        assert a.tolist() == want
+
+
 def test_unknown_builtin():
     with pytest.raises(InvalidSpec, match="no builtin example named 'no_such_family'"):
         hs.builtin_example("no_such_family")
@@ -285,7 +308,7 @@ _WIRE_NUMBERS = st.one_of(
 def test_entry_columns_bit_identical_to_per_entry_oracle(pairs):
     naive = tuple(naive_pair_from_list(p) for p in pairs)
     spec = CoefficientSpec(kind="table", entries=_entries_from_lists(pairs), tail="repeat")
-    got = [spec._entry_column(c)[1:] for c in COLUMNS]  # slot 0 repeats entry 1
+    got = [spec._entry_column(c) for c in COLUMNS]
     # the per-entry oracle's abs raises where a finite a's modulus overflows;
     # the new columns hold log|a| = inf there, which validate refuses
     fits = np.array([_modulus_fits(a) for a, _ in naive])
@@ -327,8 +350,7 @@ def test_spec_to_json_round_trips_byte_for_byte(pairs, kind):
     assert json.dumps(spec_to_json(spec)) == text
     # the columns match the per-entry oracle on what validate accepts
     want = naive_entry_columns(tuple(naive_pair_from_list(p) for p in pairs))
-    start = 1 if kind == "table" else 0  # a table's slot 0 repeats entry 1
-    columns = [spec._entry_column(c)[start:] for c in COLUMNS]
+    columns = [spec._entry_column(c) for c in COLUMNS]
     for got, exp in zip(columns, want):
         assert (_bits(got) == _bits(exp)).all()
 
