@@ -27,9 +27,9 @@ import numpy as np
 from .errors import IndexOutOfRange
 from .products import (
     PartialProductLedger,
-    _floored_exp,
     build_ledger,
     log_cumsum_exp,
+    log_series_envelope,
     tracking_sum_max,
 )
 from .sequences import CoefficientSpec, coeff_arrays
@@ -134,48 +134,23 @@ class StabilityVerdict:
         }
 
 
-def _cycle_log_sums(log_x: np.ndarray) -> np.ndarray:
-    """Slot l: log of sum_{t=1..p} prod_{j<t} x_{l+j}, the rotation-l sum of
-    the cycle x_0..x_{p-1} given as log x.
-
-    With C_k = log x_0 + ... + log x_{k-1} and s = C_p, the rotation-l sum
-    is e^{-C_l} (sum_{l<k<=p} e^{C_k} + e^s sum_{1<=k<=l} e^{C_k}): two sums
-    of positive terms, summed by log_cumsum_exp from either end of the
-    cycle, so no rotation is summed twice and nothing cancels. The two are
-    joined at their larger, as log_cumsum_exp joins a chunk to its carry.
-    """
-    C = np.cumsum(log_x)  # slot k - 1: C_k
-    tail = log_cumsum_exp(C[::-1].copy())[::-1]  # slot l: log sum_{l<k<=p} e^{C_k}
-    head = np.concatenate([[-np.inf], C[:-1]])
-    log_cumsum_exp(head[1:])  # slot l: log sum_{k<=l} e^{C_k}
-    head += C[-1]
-    top = np.maximum(tail, head)
-    tail -= top
-    head -= top
-    sums = _floored_exp(tail) + _floored_exp(head)
-    np.log(sums, out=sums)
-    sums += top
-    sums[1:] -= C[:-1]  # less C_l
-    return sums
-
-
 def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -> StabilityVerdict:
     """Exact trichotomy on |q|, q = product of the cycle a_s..a_k that
     follows the prefix a_1..a_{s-1}, s = spec.cycle_start.
 
-    The constants hold at infinite horizon. With x_j = 1/|a_j| over the
-    cycle, S_l the rotation-l sum of _cycle_log_sums and Q = |q|, a cycle's
-    series envelope sup_m sum_{k>m} |p(m, 1) / p(k, 1)| is max_l S_l /
-    (1 - 1/Q), and its tracking sums 1 + |a_n| + |a_n a_{n-1}| + ... tend
-    to at most Q max_l S_l / (1 - Q). Both denominators are
-    -expm1(-|log Q|), which stays exact where Q rounds to 1; the sums are
-    carried in log space. A prefix adds what it reaches before the cycle:
-    - contracting, T_{n+p} = A + Q T_n once a_{n+1} is in the cycle, so
-      along each residue class T_n moves monotonically to its limit and its
-      supremum is reached within the first s + p indices or is the limit;
-    - expanding, the envelope at m < s sums e^{L_m - L_k} over the prefix
-      and, past it, e^{L_m - L_s} times the rotation-0 series: one reversed
-      log_cumsum_exp seeded with the log of that geometric tail.
+    The constants hold at infinite horizon: each is a horizon constant over
+    the first k indices with the cycle's tail carried in. With Q = |q| and
+    one = log sum_{s<j<=k+1} e^{-L_j}, the cycle's own sum:
+    - expanding, the envelope at m >= s repeats with period p, and the
+      reciprocal products past L_{k+1} sum to e^one / (Q - 1);
+    - contracting, T_{n+p} = A_n + Q T_n once a_{n+1} is in the cycle, so
+      each residue class moves monotonically to its limit A_n / (1 - Q):
+      the supremum is a tracking sum within the first k indices or a limit,
+      and the limits are the tracking sums from s on, carried from
+      T*_{s-1} = e^{L_{k+1} + one} / (1 - Q).
+    Both denominators are -expm1(-|log Q|), which stays exact where Q rounds
+    to 1. The tail's shift by a cycle is the ledger's own L_{k+1} - L_s, so
+    it carries the same rounding as the terms it continues.
     log_sup_abs_p, max L_1..L_N over the configured horizon, is read off
     the first cycle and the count of cycles that fit.
     """
@@ -186,7 +161,7 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
                          f"tail 'repeat'; got a {spec.kind} spec with no cycle")
     k = len(spec.entries)
     p = k - s + 1
-    ledger = build_ledger(spec, k + 1)
+    ledger = build_ledger(spec, k)
     L = ledger.logmag
     (log_mag,) = coeff_arrays(spec, np.arange(s, k + 1), "log_abs")
     log_q = math.fsum(log_mag.tolist())
@@ -209,17 +184,14 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
 
     if log_q == 0.0:
         return verdict(UNSTABLE, "bounded_products")
-    log_sums = _cycle_log_sums(-log_mag)
     log_geom = -math.log(-math.expm1(-abs(log_q)))  # log 1 / (1 - min(Q, 1/Q))
-    log_cycle = float(np.max(log_sums)) + log_geom
+    one = float(log_cumsum_exp(np.negative(L[s + 1 : k + 2]))[-1])  # log sum_{s<j<=k+1} e^{-L_j}
     if log_q < 0.0:
-        return verdict(STABLE, "periodic_contracting", max(log_cycle + log_q, tracking_sum_max(ledger, k + 1)))
-    env = np.empty(s)  # slot i: log sum_{j>m} e^{-L_j}, m = s - i; then plus L_m
-    env[0] = float(log_sums[0]) + log_geom - L[s]
-    np.negative(L[s:1:-1], out=env[1:])
-    log_cumsum_exp(env)
-    env += L[s:0:-1]
-    return verdict(STABLE, "periodic_expanding", max(log_cycle, float(np.max(env))))
+        log_past = float(L[k + 1]) + one + log_geom  # log T*_{s-1}
+        return verdict(STABLE, "periodic_contracting",
+                       max(tracking_sum_max(ledger, k), tracking_sum_max(ledger, k, s, log_past)))
+    log_tail = one - float(L[k + 1] - L[s]) + log_geom
+    return verdict(STABLE, "periodic_expanding", log_series_envelope(ledger, k, log_tail))
 
 
 def classify_numeric(
@@ -296,7 +268,9 @@ def classify(
     ledger: PartialProductLedger | None = None,
 ) -> StabilityVerdict:
     """Front door: exact classification of every spec that ends in a cycle,
-    finite-horizon estimation of the rest (formula families, error tails)."""
+    finite-horizon estimation of the rest (formula families, error tails).
+    Both take their constants from tracking_sum_max and log_series_envelope,
+    the exact ones with the cycle's tail carried in."""
     cfg = cfg or HorizonConfig()
     if spec.cycle_start is not None:
         return classify_periodic(spec, cfg)
@@ -304,19 +278,3 @@ def classify(
         ledger = build_ledger(spec, cfg.N)
     return classify_numeric(spec, ledger, cfg)
 
-
-def log_series_envelope(ledger: PartialProductLedger, N: int) -> float:
-    """log sup_{m<=N} sum_{m<k<=N+1} |p(m, 1)| / |p(k, 1)|, by
-    log_cumsum_exp of the reciprocal products taken from the horizon down.
-
-    The series shadow's error at m is |p(m, 1)| times a tail of
-    r_j / p(j+1, 1), so this envelope times epsilon bounds its sup_error
-    for every perturbation within budget, and the phase-aligned one
-    attains it up to the truncation at the horizon. One full-length array
-    is summed and shifted in place.
-    """
-    L = ledger.logmag
-    log_e = log_cumsum_exp(-L[N + 1 : 1 : -1])  # summed from -L_{N+1} down to -L_2
-    log_e = log_e[::-1]  # slot i: log sum_{i+2<=k<=N+1} 1 / |p(k, 1)|
-    log_e += L[1 : N + 1]
-    return float(np.max(log_e))

@@ -106,19 +106,26 @@ def _recur(x1: complex, a: np.ndarray, b: np.ndarray | None, r: np.ndarray | Non
     """x_{n+1} = a_n x_n + b_n + r_n from x_1, index-aligned (slot 0 NaN).
 
     The one recurrence kernel. a, b and r are complex arrays of one length;
-    b or r is None where a recursion has none, and then adds 0j. It is
+    b or r is None where a recursion has none, and then adds 0. It is
     sequential on purpose, because direct recursion is the reference
-    semantics of every orbit here; it runs in Python complex arithmetic,
-    _CHUNK indices at a time, into a preallocated array.
+    semantics of every orbit here; it runs in Python arithmetic, _CHUNK
+    indices at a time, into a preallocated complex array. Where x_1, a, b
+    and r have no imaginary part it recurs over floats, which take the real
+    parts' operations in the same order: complex arithmetic would make an
+    orbit past float range NaN, as (inf+0j)*(2+0j) takes inf*0.
     """
     out = np.empty(len(a) + 2, dtype=complex)
     out[0] = np.nan
-    out[1] = x = complex(x1)
+    x, zero = complex(x1), 0j
+    if x.imag == 0 and not any(c is not None and c.imag.any() for c in (a, b, r)):
+        x, zero = x.real, 0.0
+        a, b, r = (c if c is None else c.real for c in (a, b, r))
+    out[1] = x
     for start in range(0, len(a), _CHUNK):
         stop = start + _CHUNK
         an = a[start:stop].tolist()
-        bn = repeat(0j) if b is None else b[start:stop].tolist()
-        rn = repeat(0j) if r is None else r[start:stop].tolist()
+        bn = repeat(zero) if b is None else b[start:stop].tolist()
+        rn = repeat(zero) if r is None else r[start:stop].tolist()
         out[start + 2 : start + 2 + len(an)] = [x := ak * x + bk + rk for ak, bk, rk in zip(an, bn, rn)]
     return out
 

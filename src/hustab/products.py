@@ -212,19 +212,39 @@ def geometric_mean_exponent(ledger: PartialProductLedger, n: int) -> float:
     return float(ledger.logmag[n]) / n
 
 
-def tracking_sum_max(ledger: PartialProductLedger, upto: int) -> float:
+def tracking_sum_max(ledger: PartialProductLedger, upto: int, start: int = 1, log_past: float = -math.inf) -> float:
     """log of the largest tracking sum T_n = sum_{j=1}^{n} |p(n+1, j+1)|
-    = 1 + |a_n| + |a_n a_{n-1}| + ... over n = 1..upto, in O(upto).
+    = 1 + |a_n| + |a_n a_{n-1}| + ... over n = start..upto, in O(upto).
 
-    Taken as log T_n = L_{n+1} + log sum_{j<=n} exp(-L_{j+1}), the sums by
-    log_cumsum_exp, so the result stays finite where the linear value
-    overflows to inf.
+    The sums before start are given as log_past = log T_{start-1} (the
+    empty T_0 by default), carried on by T_n = 1 + |a_n| T_{n-1}. Taken as
+    log T_n = L_{n+1} + log(e^{log_past - L_start} + sum_{start<j<=n+1}
+    e^{-L_j}), the sums by log_cumsum_exp with the past as its carry, so the
+    result stays finite where the linear value overflows to inf.
     """
-    _check_index(upto, 1, ledger.horizon, "upto")
+    _check_index(upto, start, ledger.horizon, "upto")
     L = ledger.logmag
-    log_t = log_cumsum_exp(np.negative(L[2 : upto + 2]))  # the one full-length array
-    log_t += L[2 : upto + 2]
+    log_t = log_cumsum_exp(np.negative(L[start + 1 : upto + 2]), log_past - L[start])  # the one full-length array
+    log_t += L[start + 1 : upto + 2]
     return float(np.max(log_t))
+
+
+def log_series_envelope(ledger: PartialProductLedger, N: int, log_tail: float = -math.inf) -> float:
+    """log sup_{m<=N} |p(m, 1)| (e^{log_tail} + sum_{m<k<=N+1} 1 / |p(k, 1)|),
+    by log_cumsum_exp of the reciprocal products taken from the horizon down,
+    with log_tail, the log of what lies past N + 1, as its carry.
+
+    The series shadow's error at m is |p(m, 1)| times a tail of
+    r_j / p(j+1, 1), so this envelope times epsilon bounds its sup_error
+    for every perturbation within budget, and the phase-aligned one
+    attains it up to the truncation at the horizon. One full-length array
+    is summed and shifted in place.
+    """
+    L = ledger.logmag
+    log_e = log_cumsum_exp(-L[N + 1 : 1 : -1], log_tail)  # summed from -L_{N+1} down to -L_2
+    log_e = log_e[::-1]  # slot i: log of the tail plus sum_{i+2<=k<=N+1} 1 / |p(k, 1)|
+    log_e += L[1 : N + 1]
+    return float(np.max(log_e))
 
 
 # log_cumsum_exp sums chunks of _CHUNK terms at a time; a chunk that must be
@@ -239,14 +259,15 @@ _FLOOR = 700.0
 _REACH = 600.0
 
 
-def log_cumsum_exp(x: np.ndarray) -> np.ndarray:
-    """y_k = log sum_{i<=k} exp(x_i) for a contiguous 1-D array of finite
-    floats, written over x, which is returned.
+def log_cumsum_exp(x: np.ndarray, carry: float = -math.inf) -> np.ndarray:
+    """y_k = log(exp(carry) + sum_{i<=k} exp(x_i)) for a contiguous 1-D array
+    of finite floats, written over x, which is returned; carry, -inf by
+    default, is the log of what precedes x_0.
 
     The terms are taken in chunks of 256. Each chunk is scaled by its own
     maximum m and summed by exp, a row-wise cumsum and log over all chunks
     at once. A short running log-sum-exp of the chunk totals gives each
-    chunk's carry, the log of all terms before it, and each prefix is
+    chunk's carry, the log of all that precedes it, and each prefix is
     c + log(local e^(m - c) + e^(carry - c)) with c = max(m, carry). It is
     rounded once per chunk, not once per term as a running logaddexp is.
 
@@ -260,7 +281,7 @@ def log_cumsum_exp(x: np.ndarray) -> np.ndarray:
         raise ValueError("log_cumsum_exp works in place on a contiguous 1-D array")
     n = len(x)
     full = n - n % _CHUNK
-    carry = np.full(1, -np.inf)
+    carry = np.full(1, carry)
     with np.errstate(under="ignore", divide="ignore"):
         for lo, hi, width in ((0, full, _CHUNK), (full, n, n - full)):
             if hi > lo:

@@ -160,32 +160,58 @@ def brute_reciprocal_sum(a, n):
     return math.fsum(terms)
 
 
-def brute_tracking_sum(a, n):
-    """1 + |a_n| + |a_n a_{n-1}| + ... + |a_n ... a_2| by direct products."""
+def brute_tracking_sum(a, n, start=1, past=0):
+    """1 + |a_n| + |a_n a_{n-1}| + ... + |a_n ... a_{start+1}|, plus
+    |a_n ... a_start| past (the tracking sum T_{start-1} carried on), by
+    direct products."""
     total = 1.0
     prod = 1.0
-    for j in range(n, 1, -1):
+    for j in range(n, start, -1):
         prod *= abs(a[j])
         total += prod
+    if past:
+        total += prod * abs(a[start]) * past
     return total
 
 
-def brute_series_envelope(a, N):
-    """max_{1<=m<=N} sum_{m<k<=N+1} |p(m, 1)| / |p(k, 1)| in mpmath, each
-    ratio 1 / |a_m ... a_{k-1}| by repeated division; a is 1-based padded,
-    of length at least N + 1. Returned as an mpmath number, which does not
-    overflow where the envelope leaves float range."""
+def brute_series_envelope(a, N, tail=0):
+    """max_{1<=m<=N} |p(m, 1)| tail + sum_{m<k<=N+1} |p(m, 1)| / |p(k, 1)|
+    in mpmath, each ratio 1 / |a_m ... a_{k-1}| by repeated division and
+    |p(m, 1)| by repeated multiplication; a is 1-based padded, of length at
+    least N + 1. Returned as an mpmath number, which does not overflow
+    where the envelope leaves float range."""
     import mpmath
 
     with mpmath.workprec(200):
-        best = mpmath.mpf(0)
+        best, p_m = mpmath.mpf(0), mpmath.mpf(1)
         for m in range(1, N + 1):
-            total, ratio = mpmath.mpf(0), mpmath.mpf(1)
+            total, ratio = p_m * tail, mpmath.mpf(1)
             for k in range(m + 1, N + 2):
                 ratio /= abs(mpmath.mpc(a[k - 1]))
                 total += ratio
             best = max(best, total)
+            p_m *= abs(mpmath.mpc(a[m]))
         return +best
+
+
+def brute_horizon_sups(a, N):
+    """(max_{1<=n<=N} T_n, max_{1<=m<=N} G_m) in mpmath, by the recurrences
+    T_n = 1 + |a_n| T_{n-1} from T_0 = 0 (the tracking sums) and
+    G_m = (1 + G_{m+1}) / |a_m| from G_{N+1} = 0 (the series envelope's
+    terms, sum_{m<k<=N+1} |p(m, 1) / p(k, 1)|), in O(N); a is 1-based
+    padded, of length at least N + 1."""
+    import mpmath
+
+    with mpmath.workprec(200):
+        mods = [None, *(abs(mpmath.mpc(x)) for x in a[1 : N + 1])]
+        t = g = best_t = best_g = mpmath.mpf(0)
+        for n in range(1, N + 1):
+            t = 1 + mods[n] * t
+            best_t = max(best_t, t)
+        for m in range(N, 0, -1):
+            g = (1 + g) / mods[m]
+            best_g = max(best_g, g)
+        return +best_t, +best_g
 
 
 def _log_sum_exp(x):

@@ -7,16 +7,23 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import hustab as hs
-from conftest import brute_series_envelope, brute_tracking_sum, coeff_at, coeffs_upto, random_table_spec
+from conftest import (
+    brute_horizon_sups,
+    brute_series_envelope,
+    brute_tracking_sum,
+    coeff_at,
+    coeffs_upto,
+    random_table_spec,
+)
 from hustab.classify import (
     EXPANDING_CRITERIA,
     STABLE,
     UNDETERMINED,
     UNSTABLE,
     HorizonConfig,
-    log_series_envelope,
 )
 from hustab.errors import IndexOutOfRange
+from hustab.products import log_series_envelope
 
 
 def test_period3_stable_with_constant_below_16():
@@ -369,36 +376,45 @@ def test_repeat_tail_status_follows_the_last_modulus(seed, n, r, unit, N):
 
 
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 20), sign=st.sampled_from([-1, 1]))
-def test_exact_table_constants_bound_every_horizon_and_match_mpmath(seed, n, sign):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 20), sign=st.sampled_from([-1, 1]),
+       kind=st.sampled_from(["table", "cycle"]))
+def test_exact_table_constants_bound_every_horizon_and_match_mpmath(seed, n, sign, kind):
     # The exact constant bounds the horizon constant at every N, and at a
     # horizon whose dropped tail is below e^-30 it is the mpmath supremum
     # of the tracking sums (contracting) or of the series envelope
-    # (expanding) over that horizon.
+    # (expanding) over that horizon. A table is n entries before a cycle of
+    # one; a cycle has 2-12 entries and |log q| >= 0.05.
     mpmath = pytest.importorskip("mpmath")
     rng = np.random.default_rng(seed)
-    logs = [*rng.uniform(math.log(0.25), math.log(4.0), n), sign * rng.uniform(0.5, 1.4)]
-    a = np.exp(np.array(logs) + 2j * np.pi * rng.uniform(0, 1, n + 1))
-    spec = hs.table_spec([(x, 1.0) for x in a], tail="repeat")
+    if kind == "table":
+        logs = np.array([*rng.uniform(math.log(0.25), math.log(4.0), n), sign * rng.uniform(0.5, 1.4)])
+        p = 1
+    else:
+        p = int(rng.integers(2, 13))
+        logs = rng.uniform(math.log(0.25), math.log(4.0), p)
+        logs += (sign * rng.uniform(0.05, 1.4) - logs.sum()) / p
+    a = np.exp(logs + 2j * np.pi * rng.uniform(0, 1, len(logs)))
+    pairs = [(x, 1.0) for x in a]
+    spec = hs.table_spec(pairs, tail="repeat") if kind == "table" else hs.periodic_spec(pairs)
     v = hs.classify(spec)
     assert v.criterion == ("periodic_contracting" if sign < 0 else "periodic_expanding")
-    k = n + 1
-    L = hs.build_ledger(spec, k + 1).logmag
-    if sign < 0:  # past the prefix, T_n nears its limit by |a_k| a step
-        far = k + 1 + math.ceil(30.0 / abs(logs[-1]))
-    else:  # L climbs by log|a_k| a step: until 30 above every L the supremum may start from
-        far = k + 1 + math.ceil((30.0 + float(np.max(L[1 : k + 2])) - float(L[k])) / logs[-1])
+    k = len(logs)
+    log_q = float(logs[k - p :].sum())
+    L = hs.build_ledger(spec, k).logmag
+    spread = float(np.max(L[1 : k + 2]) - np.min(L[1 : k + 2]))
+    # Contracting, each residue class of T_n nears its limit by Q a cycle.
+    # Expanding, every L_j past the horizon lies that many cycles of log q
+    # above the first cycle, the envelope is at least e^-spread, and at most
+    # p / (1 - 1/Q) < e^6 cycles' worth of tail is summed.
+    cycles = math.ceil((30.0 if sign < 0 else 36.0 + 2.0 * spread) / abs(log_q))
+    far = k + 1 + p * cycles
     horizon = hs.tracking_sum_max if sign < 0 else log_series_envelope
     for N in sorted({1, 2, k, k + 1, k + 2, 2 * k + 5, far}):
         assert horizon(hs.build_ledger(spec, N), N) <= v.log_constant + 1e-12, N
     a_far, _ = coeffs_upto(spec, far + 1)
-    with mpmath.workprec(200):
-        if sign < 0:
-            mods = [None, *(mpmath.mpf(abs(complex(x))) for x in a_far[1:])]
-            ref = mpmath.log(max(brute_tracking_sum(mods, m) for m in range(1, far + 1)))
-        else:
-            ref = mpmath.log(brute_series_envelope(a_far, far))
-    assert abs(v.log_constant - float(ref)) <= 1e-12 + 8 * np.spacing(abs(float(ref)))
+    track, env = brute_horizon_sups(a_far, far)
+    ref = float(mpmath.log(track if sign < 0 else env))
+    assert abs(v.log_constant - ref) <= 1e-12 + 8 * np.spacing(abs(ref))
 
 
 @settings(max_examples=40, deadline=None)
@@ -464,22 +480,34 @@ def test_phase_aligned_adversary_meets_the_constant(seed, kind, sign, N):
         assert log_sup >= log_bound + math.log1p(-1e-9)
 
 
+_OFFSETS = st.one_of(st.just(-math.inf), st.floats(-60.0, 60.0), st.sampled_from([-700.0, 700.0]))
+
+
 @settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), N=st.integers(1, 120))
-def test_horizon_envelopes_match_mpmath_on_wide_tables(seed, n, N):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), N=st.integers(1, 120), start=st.integers(1, 120),
+       past=_OFFSETS, tail=_OFFSETS)
+def test_horizon_envelopes_match_mpmath_on_wide_tables(seed, n, N, start, past, tail):
     # |a| log-uniform in [1e-3, 1e3], so the products swing far past float
     # range. The ledger sums up to N + 1 rounded logs, which may move each
-    # log-domain result by 2 (N + 1) ulp of the sum of their moduli.
+    # log-domain result by 2 (N + 1) ulp of the sum of their moduli. The
+    # tracking sums start at index start from a past T_{start-1}, and the
+    # envelope carries a tail past N + 1: each none, or offset from the
+    # first term it is summed with.
     mpmath = pytest.importorskip("mpmath")
     spec = random_table_spec(np.random.default_rng(seed), n, amin=1e-3, amax=1e3)
     led = hs.build_ledger(spec, N)
+    L = led.logmag
+    start = min(start, N)
+    log_past = past + float(L[start] - L[start + 1])  # the past's term against e^{-L_{start+1}}
+    log_tail = tail - float(L[N + 1])
     a, _ = coeffs_upto(spec, N + 1)
     mods = [mpmath.mpf(abs(complex(x))) for x in a[1:]]
     slack = 2 * (N + 1) * 2.0**-52 * math.fsum(abs(math.log(abs(x))) for x in a[1:])
     with mpmath.workprec(200):
-        track = max(brute_tracking_sum([None, *mods], k) for k in range(1, N + 1))
-        expect = {"track": float(mpmath.log(track)), "env": float(mpmath.log(brute_series_envelope(a, N)))}
-    got = {"track": hs.tracking_sum_max(led, N), "env": log_series_envelope(led, N)}
+        track = max(brute_tracking_sum([None, *mods], k, start, mpmath.exp(log_past)) for k in range(start, N + 1))
+        env = brute_series_envelope(a, N, mpmath.exp(log_tail))
+        expect = {"track": float(mpmath.log(track)), "env": float(mpmath.log(env))}
+    got = {"track": hs.tracking_sum_max(led, N, start, log_past), "env": log_series_envelope(led, N, log_tail)}
     for key, ref in expect.items():
         assert abs(got[key] - ref) <= 1e-13 + 8 * np.spacing(abs(ref)) + slack, key
 

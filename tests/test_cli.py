@@ -350,10 +350,28 @@ def test_simulate_final_is_null_past_float_range(capsys):
     assert code == 0
     assert json.loads(out)["final"] == [5.0 * (2.0**19 - 1.0), 0.0]
     # z_n = 5 (2^(n-1) - 1) passes float range near n = 1020 and the orbit
-    # ends in NaN, which JSON cannot hold
+    # ends at inf, which JSON cannot hold
     code, out, _ = run(capsys, *argv, "--horizon", "2000")
     assert code == 0
     assert json.loads(out, parse_constant=_reject_constant)["final"] is None
+
+
+@pytest.mark.parametrize("a", ["2", "-2"])
+def test_simulate_real_orbit_past_float_range_stays_infinite(capsys, a):
+    # A real orbit that overflows reads +-inf with a zero imaginary part to
+    # the horizon; complex arithmetic would take inf * 0 and turn it to NaN.
+    code, out, _ = run(capsys, "simulate", "--builtin", "constant", "--a", a, "--b", "5",
+                       "--horizon", "2000", "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 2000
+    assert all(math.isfinite(float(re)) for _, re, _ in rows[:1022])
+    past = rows[1022:] if a == "2" else rows[1024:]  # n = 1023 or 1025 on
+    assert all(im == "0.0" for _, _, im in rows)
+    if a == "2":
+        assert all(re == "inf" for _, re, _ in past)
+    else:  # z_1025 = -inf, then the sign alternates
+        assert [re for _, re, _ in past] == ["-inf", "inf"] * (len(past) // 2)
 
 
 def test_public_names_are_pinned():

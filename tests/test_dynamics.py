@@ -149,6 +149,24 @@ def test_orbits_equal_naive_recursion_exactly():
         assert np.array_equal(res, brute_residuals(a, r, n - 1))
 
 
+def test_real_orbits_equal_complex_recursion_exactly():
+    # Real x_1, a, b and r recur over floats. While the orbit is finite the
+    # real parts take the same operations in the same order, so it matches
+    # complex recursion bit for bit.
+    rng = np.random.default_rng(13)
+    n = 1500
+    table = hs.table_spec(list(zip(rng.uniform(-2.0, 2.0, n), rng.uniform(-1.0, 1.0, n))))
+    for spec in (hs.builtin_example("alternating_2_half"), hs.constant_spec(-1.5, 2.0), table):
+        a, b = coeffs_upto(spec, n)
+        assert not a.imag.any() and not b.imag.any()
+        r = padded(rng.uniform(-0.1, 0.1, n - 1))
+        z = hs.iterate(spec, 0.5, n).values
+        assert np.all(np.isfinite(z[1:]))
+        assert np.array_equal(z[1:], brute_orbit(a, b, 0.5, n)[1:])
+        orbit = hs.perturbed_orbit(spec, -0.25, r, 0.1)
+        assert np.array_equal(orbit.values[1:], brute_orbit(a, b, -0.25, n, r)[1:])
+
+
 def test_error_decomposition_with_distinct_starts():
     # w_{n+1} - z_{n+1} = p(n+1,1) [ (w_1 - z_1) + sum_{j<n} r_j / p(j+1,1) ] + r_n
     rng = np.random.default_rng(21)

@@ -433,20 +433,22 @@ def test_scaled_cumsum_matches_mpmath_across_rises(seed):
             assert abs(got - exact) <= 1e-12 * mass
 
 
-def _mpmath_log_cumsum_exp(x):
-    """log sum_{i<=k} exp(x_i) for every k, summed exactly enough in mpmath."""
+def _mpmath_log_cumsum_exp(x, carry=-math.inf):
+    """log(exp(carry) + sum_{i<=k} exp(x_i)) for every k, summed exactly
+    enough in mpmath."""
     mpmath = pytest.importorskip("mpmath")
-    out, total = [], mpmath.mpf(0)
+    out = []
     with mpmath.workprec(160):
+        total = mpmath.exp(carry) if carry > -math.inf else mpmath.mpf(0)
         for v in x.tolist():
             total += mpmath.exp(v)
             out.append(float(mpmath.log(total)))
     return np.array(out)
 
 
-def _assert_log_sums_exact(x):
-    ref = _mpmath_log_cumsum_exp(x)
-    got = log_cumsum_exp(x.copy())
+def _assert_log_sums_exact(x, carry=-math.inf):
+    ref = _mpmath_log_cumsum_exp(x, carry)
+    got = log_cumsum_exp(x.copy(), carry)
     assert np.all(np.abs(got - ref) <= 1e-13 + 8 * np.spacing(np.abs(ref)))
 
 
@@ -459,13 +461,22 @@ _SEGMENTS = st.lists(
 )
 
 
+# A carry is none, near the first term, or about 700 above or below it:
+# below, a first chunk that climbs past it is redone from the carry.
+_CARRY_OFFSETS = st.one_of(
+    st.just(-math.inf), st.floats(-60.0, 60.0), st.floats(-750.0, -650.0), st.floats(650.0, 750.0),
+)
+
+
 @settings(max_examples=40, deadline=None)
-@given(segments=_SEGMENTS, start=st.floats(-1e4, 1e4), seed=st.integers(0, 2**32 - 1))
-@example(segments=[("cliff", 300)], start=0.0, seed=1)  # every piece of 16 split to single terms
-@example(segments=[("ramp", 1)], start=3.0, seed=0)
-def test_log_cumsum_exp_matches_mpmath(segments, start, seed):
+@given(segments=_SEGMENTS, start=st.floats(-1e4, 1e4), seed=st.integers(0, 2**32 - 1), offset=_CARRY_OFFSETS)
+@example(segments=[("cliff", 300)], start=0.0, seed=1, offset=-math.inf)  # every piece of 16 split to single terms
+@example(segments=[("cliff", 300)], start=0.0, seed=1, offset=-700.0)  # the same, after a carry
+@example(segments=[("ramp", 1)], start=3.0, seed=0, offset=-math.inf)
+def test_log_cumsum_exp_matches_mpmath(segments, start, seed, offset):
     # Runs of constant terms, random walks, steady ramps of up to 60 per
-    # term, and cliffs of 700 to 709 per term either way, in any order.
+    # term, and cliffs of 700 to 709 per term either way, in any order,
+    # after a carry offset from the first term.
     rng = np.random.default_rng(seed)
     steps = []
     for kind, n in segments:
@@ -477,7 +488,8 @@ def test_log_cumsum_exp_matches_mpmath(segments, start, seed):
             steps.append(np.full(n, rng.uniform(-60.0, 60.0)))
         else:
             steps.append(rng.choice([-1.0, 1.0], n) * rng.uniform(700.0, 709.0, n))
-    _assert_log_sums_exact(start + np.cumsum(np.concatenate(steps)))
+    x = start + np.cumsum(np.concatenate(steps))
+    _assert_log_sums_exact(x, x[0] + offset)
 
 
 @pytest.mark.parametrize("n", [512, 600, 1000])
