@@ -248,15 +248,18 @@ def log_series_envelope(ledger: PartialProductLedger, N: int, log_tail: float = 
 
 
 # log_cumsum_exp sums chunks of _CHUNK terms at a time; a chunk that must be
-# redone is split into _SPLIT pieces, and those down to single terms.
+# redone is split into pieces of _SPLIT terms, and those down to single terms.
+# Terms padded past a row's end change none of its earlier prefixes.
 _CHUNK = 256
 _SPLIT = 16
 # Every exp argument is kept in [-_FLOOR, 0], where exp is normal and takes
 # its fast path (a subnormal result costs it about 100 times as long).
 _FLOOR = 700.0
 # A chunk is summed at its own maximum only where each of its prefixes,
-# carry included, lies within e^-_REACH of that maximum.
-_REACH = 600.0
+# carry included, lies within e^-_REACH of that maximum. A prefix's log is
+# found as a difference from the maximum, rounded to the spacing of that
+# difference: below 512 that spacing is 2^-44, about 5.7e-14.
+_REACH = 500.0
 
 
 def log_cumsum_exp(x: np.ndarray, carry: float = -math.inf) -> np.ndarray:
@@ -272,7 +275,7 @@ def log_cumsum_exp(x: np.ndarray, carry: float = -math.inf) -> np.ndarray:
     rounded once per chunk, not once per term as a running logaddexp is.
 
     Exponents below -700 are raised to -700. That moves a prefix by under
-    256 e^-100 relative wherever the prefix lies within e^-600 of its
+    256 e^-200 relative wherever the prefix lies within e^-500 of its
     chunk's maximum. A chunk whose first term and carry both lie further
     below is redone from its saved terms, split into pieces of 16 and those,
     where needed, into single terms, so every prefix comes out exact.
@@ -315,8 +318,11 @@ def _log_cumsum_rows(x: np.ndarray, carry: np.ndarray, width: int) -> None:
     redo = low & (before < top - _REACH)
     if redo.any():
         pieces = saved[redo[low]]
-        _log_cumsum_rows(pieces, before[redo], width // _SPLIT if width % _SPLIT == 0 else 1)
-        chunks[redo] = pieces
+        split = _SPLIT if width > _SPLIT else 1
+        if width % split:  # a short last chunk, padded with its own last term
+            pieces = np.pad(pieces, ((0, 0), (0, split - width % split)), mode="edge")
+        _log_cumsum_rows(pieces, before[redo], split)
+        chunks[redo] = pieces[:, :width]
 
 
 def _running_log_sum(carry: np.ndarray, terms: np.ndarray) -> np.ndarray:

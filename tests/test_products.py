@@ -453,7 +453,7 @@ def _assert_log_sums_exact(x, carry=-math.inf):
 
 
 # The kernel sums chunks of 256 terms, each at its own maximum; a chunk
-# whose first term and carry both lie more than 600 below that maximum is
+# whose first term and carry both lie more than 500 below that maximum is
 # redone in pieces of 16 and, where those rise as fast, single terms.
 _SEGMENTS = st.lists(
     st.tuples(st.sampled_from(["flat", "walk", "ramp", "cliff"]), st.integers(1, 300)),
@@ -473,6 +473,8 @@ _CARRY_OFFSETS = st.one_of(
 @example(segments=[("cliff", 300)], start=0.0, seed=1, offset=-math.inf)  # every piece of 16 split to single terms
 @example(segments=[("cliff", 300)], start=0.0, seed=1, offset=-700.0)  # the same, after a carry
 @example(segments=[("ramp", 1)], start=3.0, seed=0, offset=-math.inf)
+@example(segments=[("walk", 55), ("flat", 27), ("cliff", 1)], start=43.0, seed=0, offset=-math.inf)  # a short chunk, in pieces of 16
+@example(segments=[("walk", 236)], start=0.0, seed=108, offset=0.0)  # a prefix and its carry 530 below the maximum
 def test_log_cumsum_exp_matches_mpmath(segments, start, seed, offset):
     # Runs of constant terms, random walks, steady ramps of up to 60 per
     # term, and cliffs of 700 to 709 per term either way, in any order,
