@@ -25,7 +25,6 @@ from .dynamics import (
 from .products import (
     PartialProductLedger,
     build_ledger,
-    geometric_mean_exponent,
     tracking_sum_max,
 )
 from .sequences import (

@@ -147,7 +147,8 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
       each residue class moves monotonically to its limit A_n / (1 - Q):
       the supremum is a tracking sum within the first k indices or a limit,
       and the limits are the tracking sums from s on, carried from
-      T*_{s-1} = e^{L_{k+1} + one} / (1 - Q).
+      T*_{s-1} = e^{L_{k+1} + one} / (1 - Q). With no prefix (s = 1) every
+      class rises from T_0 = 0, so the limits alone are the supremum.
     Both denominators are -expm1(-|log Q|), which stays exact where Q rounds
     to 1. The tail's shift by a cycle is the ledger's own L_{k+1} - L_s, so
     it carries the same rounding as the terms it continues.
@@ -188,8 +189,10 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
     one = float(log_cumsum_exp(np.negative(L[s + 1 : k + 2]))[-1])  # log sum_{s<j<=k+1} e^{-L_j}
     if log_q < 0.0:
         log_past = float(L[k + 1]) + one + log_geom  # log T*_{s-1}
-        return verdict(STABLE, "periodic_contracting",
-                       max(tracking_sum_max(ledger, k), tracking_sum_max(ledger, k, s, log_past)))
+        log_c = tracking_sum_max(ledger, k, s, log_past)
+        if s > 1:  # with no prefix, each T_n rises from T_0 = 0 to its limit
+            log_c = max(tracking_sum_max(ledger, k), log_c)
+        return verdict(STABLE, "periodic_contracting", log_c)
     log_tail = one - float(L[k + 1] - L[s]) + log_geom
     return verdict(STABLE, "periodic_expanding", log_series_envelope(ledger, k, log_tail))
 

@@ -102,8 +102,6 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
 def cmd_shadow(cfg: argparse.Namespace) -> int:
     if cfg.epsilon < 0:
         raise ValueError(f"--epsilon must be >= 0, got {cfg.epsilon}")
-    if cfg.tail_tol <= 0:
-        raise ValueError(f"--tail-tol must be > 0, got {cfg.tail_tol}")
     spec = _build_spec(cfg)
     N = cfg.horizon
     ledger = build_ledger(spec, N)
@@ -122,11 +120,10 @@ def cmd_shadow(cfg: argparse.Namespace) -> int:
     if verdict.criterion in EXPANDING_CRITERIA:
         construction = "reciprocal_series"
         try:
-            result = dynamics.shadow_expanding(orbit, spec, ledger, tail_tol=cfg.tail_tol)
-        except TailNotConvergent as exc:
+            result = dynamics.shadow_expanding(orbit, spec, ledger)
+        except TailNotConvergent:
             if not cfg.force:
-                sys.stderr.write(f"error: {exc}\n")
-                return 1
+                raise
             construction = "equal_start"
             log_bound = None
             result = dynamics.shadow_contracting(orbit, spec, ledger)
@@ -144,7 +141,6 @@ def cmd_shadow(cfg: argparse.Namespace) -> int:
         **log_scaled("sup_error", log_sup_error),
         **log_scaled("bound", log_bound),
         "bound_satisfied": None if log_bound is None else bool(log_sup_error <= log_bound),
-        "tail_estimate": result.tail_estimate,
     }
     _emit(cfg, dynamics.shadow_csv(result, orbit), summary)
     return 0
@@ -222,7 +218,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--band", type=float, default=0.02)
     p.add_argument("--window", type=float, default=0.5)
     p.add_argument("--z1", type=complex, default=0.0 + 0.0j, help="initial value")
-    p.add_argument("--tail-tol", dest="tail_tol", type=float, default=1e-9)
     return p
 
 

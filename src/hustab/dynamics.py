@@ -27,12 +27,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import IndexOutOfRange, TailNotConvergent
-from .products import (
-    PartialProductLedger,
-    _csv_text,
-    geometric_mean_exponent,
-    scaled_cumsum,
-)
+from .products import PartialProductLedger, _csv_text, scaled_cumsum
 from .sequences import CoefficientSpec, coeff_arrays
 
 _LN10 = math.log(10.0)
@@ -85,16 +80,14 @@ class ShadowResult:
     errors slot n holds |w_n - z_n| for the constructed shadow (linear
     scale, inf when out of float range); log10_errors is the same curve
     kept in log10, which stays meaningful when the linear value does not.
-    tail_estimate is the documented bound on what truncating the defining
-    series beyond the horizon dropped (expanding construction only); the
-    dropped part contributes at most |p(n, 1)| * tail_estimate at index n.
+    The curve is the constructed shadow's own error, so the series
+    construction's truncation at the horizon is already in it.
     """
 
     trajectory: Trajectory
     errors: np.ndarray
     log10_errors: np.ndarray
     sup_error: float
-    tail_estimate: float | None = None
 
 
 # Indices the recurrence kernel converts to Python complex numbers at a time;
@@ -183,8 +176,8 @@ def _check_identity(orbit: PerturbedOrbit, exact: Trajectory, R: np.ndarray, L: 
         raise ArithmeticError("residual identity w_n = z_n + R_{n-1} failed tolerance")
 
 
-def _shadow(orbit: PerturbedOrbit, spec: CoefficientSpec, ledger: PartialProductLedger, series_start: bool,
-            tail_estimate: float | None = None) -> ShadowResult:
+def _shadow(orbit: PerturbedOrbit, spec: CoefficientSpec, ledger: PartialProductLedger,
+            series_start: bool) -> ShadowResult:
     """The shadow z from z_1 = w_1 - d, with the error curve of the identity
     w_n - z_n = p(n, 1) (d + S_{n-1}), S_m = sum_{j<=m} c_j, c_j = r_j / p(j+1, 1).
 
@@ -219,7 +212,7 @@ def _shadow(orbit: PerturbedOrbit, spec: CoefficientSpec, ledger: PartialProduct
         signed = np.exp(log_err[1:] + 1j * (ledger.phase[1 : N + 1] + np.angle(mant)))
     _check_identity(orbit, traj, signed, ledger.logmag)  # signed slot n - 1 holds w_n - z_n
     return ShadowResult(trajectory=traj, errors=errors, log10_errors=log_err / _LN10,
-                        sup_error=float(np.max(errors[1:])), tail_estimate=tail_estimate)
+                        sup_error=float(np.max(errors[1:])))
 
 
 def shadow_contracting(orbit: PerturbedOrbit, spec: CoefficientSpec,
@@ -233,32 +226,17 @@ def shadow_contracting(orbit: PerturbedOrbit, spec: CoefficientSpec,
     return _shadow(orbit, spec, ledger, series_start=False)
 
 
-def shadow_expanding(
-    orbit: PerturbedOrbit,
-    spec: CoefficientSpec,
-    ledger: PartialProductLedger,
-    tail_tol: float = 1e-9,
-) -> ShadowResult:
+def shadow_expanding(orbit: PerturbedOrbit, spec: CoefficientSpec,
+                     ledger: PartialProductLedger) -> ShadowResult:
     """Shadow via z_1 = w_1 + sum_{j=1}^{N-1} r_j / p(j+1, 1) (truncated series).
 
-    Requires the reciprocal-product terms to be summable at this horizon:
-    the tail beyond N, extrapolated geometrically at the rate given by the
-    geometric-mean exponent, must fall below tail_tol, and the series itself
-    must be in float range; TailNotConvergent otherwise. The error curve
-    |w_n - z_n| = |p(n, 1)| |sum_{j=n}^{N-1} r_j / p(j+1, 1)| vanishes at the
-    horizon; the dropped part is documented via tail_estimate.
+    Then |w_n - z_n| = |p(n, 1)| |sum_{j=n}^{N-1} r_j / p(j+1, 1)|, which
+    vanishes at the horizon and is at most epsilon times the series
+    envelope sup_m sum_{m<k<=N} |p(m, 1) / p(k, 1)| at every horizon, so
+    the truncation needs no tail of its own. TailNotConvergent only when
+    the series start z_1 is past float range.
     """
-    N = len(orbit)
-    g = geometric_mean_exponent(ledger, N)
-    if g <= 0:
-        raise TailNotConvergent(f"geometric-mean exponent {g:.3g} <= 0 at horizon {N}")
-    rho = math.exp(-g)
-    tail_estimate = orbit.epsilon * math.exp(-float(ledger.logmag[N])) * rho / (1.0 - rho)
-    if tail_estimate >= tail_tol:
-        raise TailNotConvergent(
-            f"tail estimate {tail_estimate:.3g} at horizon {N} exceeds tolerance {tail_tol:.3g}"
-        )
-    return _shadow(orbit, spec, ledger, series_start=True, tail_estimate=tail_estimate)
+    return _shadow(orbit, spec, ledger, series_start=True)
 
 
 # ---------------------------------------------------------------------------

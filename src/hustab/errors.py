@@ -18,4 +18,4 @@ class IndexOutOfRange(StabilityToolError):
 
 
 class TailNotConvergent(StabilityToolError):
-    """Reciprocal-product tail cannot be bounded at this horizon."""
+    """The series shadow's start z_1 = w_1 + sum_j r_j / p(j+1, 1) is past float range."""

@@ -50,11 +50,11 @@ class PartialProductLedger:
         return _prefix_sums(self.spec, self.horizon, "arg")
 
 
-# Fewest rows a forked slice gets. Forking, binding and reaping a child and
-# the copy-on-write faults after the fork cost this process about 5 ms
-# (measured at 60-100 MB resident); a shadow row, with its two always
-# distinct error columns, takes 2-7 us to format, so a slice of 8192 rows
-# is 3-10 times the cost of its fork.
+# Fewest rows a forked slice gets. Forking and reaping a child and the
+# copy-on-write faults after the fork cost this process about 5 ms (measured
+# at 60-100 MB resident); a shadow row, with its two always distinct error
+# columns, takes 2-7 us to format, so a slice of 8192 rows is 3-10 times the
+# cost of its fork.
 _FORK_MIN_ROWS = 8192
 _BLOCK_ROWS = 4096
 
@@ -68,46 +68,29 @@ def _csv_text(header: str, *columns: np.ndarray) -> str:
     slices formatted in forked children. A process with live threads, or
     without os.fork, formats every row itself."""
     n = len(columns[0])
-    cpus = _child_cpus(n)
-    if not cpus:
-        return "".join([header + "\n", *_csv_rows(columns, 0, n)])
-    bounds = [n * i // (len(cpus) + 1) for i in range(len(cpus) + 2)]
-    return "".join([header + "\n", *_forked_rows(columns, bounds, cpus)])
+    children = _child_count(n)
+    bounds = [n * i // (children + 1) for i in range(children + 2)]
+    return "".join([header + "\n", *_forked_rows(columns, bounds)])
 
 
-def _child_cpus(rows: int) -> list[int]:
-    """One CPU per forked child, none when this process may not fork (no
-    os.fork, or another thread alive) or when a slice would get fewer than
-    _FORK_MIN_ROWS rows. The CPU this process runs on is left out: a kernel
-    that does not balance load keeps a forked child on its parent's CPU."""
-    if (rows < 2 * _FORK_MIN_ROWS or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() != 1):
-        return []
-    allowed = sorted(os.sched_getaffinity(0))
-    here = _current_cpu()
-    return [c for c in allowed if c != here][: min(len(allowed), rows // _FORK_MIN_ROWS) - 1]
+def _child_count(rows: int) -> int:
+    """One forked child for each CPU this process may run on but one; none
+    when this process may not fork (no os.fork, or another thread alive),
+    and fewer where a slice would get under _FORK_MIN_ROWS rows."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
+        return 0
+    return max(0, min(len(os.sched_getaffinity(0)), rows // _FORK_MIN_ROWS) - 1)
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on (field 39 of /proc/self/stat), or
-    None where that cannot be read."""
-    try:
-        with open("/proc/self/stat") as f:
-            return int(f.read().rsplit(")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _forked_rows(columns: tuple[np.ndarray, ...], bounds: list[int], cpus: list[int]) -> list[str]:
+def _forked_rows(columns: tuple[np.ndarray, ...], bounds: list[int]) -> list[str]:
     """The text of the row slices [bounds[i], bounds[i+1]), in order.
-    Slice 0 is formatted here while forked children, one bound to each of
-    cpus, format the later slices. A slice whose child could not be made or
-    did not exit cleanly is formatted here, and every child is reaped, also
-    when this raises."""
+    Slice 0 is formatted here while forked children format the later
+    slices. A slice whose child could not be made or did not exit cleanly
+    is formatted here, and every child is reaped, also when this raises."""
     pids, pipes = {}, {}
     try:
-        for i, cpu in enumerate(cpus, 1):
-            child = _fork_slice(columns, bounds[i], bounds[i + 1], cpu)
+        for i in range(1, len(bounds) - 1):
+            child = _fork_slice(columns, bounds[i], bounds[i + 1])
             if child is None:  # the slices left are formatted here
                 break
             pids[i], pipes[i] = child
@@ -130,7 +113,7 @@ def _forked_rows(columns: tuple[np.ndarray, ...], bounds: list[int], cpus: list[
             os.waitpid(pid, 0)
 
 
-def _fork_slice(columns: tuple[np.ndarray, ...], start: int, stop: int, cpu: int) -> tuple[int, int] | None:
+def _fork_slice(columns: tuple[np.ndarray, ...], start: int, stop: int) -> tuple[int, int] | None:
     """The pid and the pipe's read end of a child that writes rows
     start..stop-1 to the pipe as ASCII, or None when no process can be
     made."""
@@ -152,12 +135,6 @@ def _fork_slice(columns: tuple[np.ndarray, ...], start: int, stop: int, cpu: int
         finally:
             os._exit(code)
     os.close(w)
-    # Bound from here, the child moves at once; it would call
-    # sched_setaffinity itself only once this process left the CPU.
-    try:
-        os.sched_setaffinity(pid, {cpu})
-    except OSError:  # the child formats where it is
-        pass
     return pid, r
 
 
@@ -200,16 +177,6 @@ def _prefix_sums(spec: CoefficientSpec, horizon: int, column: str) -> np.ndarray
 def _check_index(n: int, low: int, high: int, what: str) -> None:
     if not low <= n <= high:
         raise IndexOutOfRange(f"{what}={n} outside [{low}, {high}]")
-
-
-def geometric_mean_exponent(ledger: PartialProductLedger, n: int) -> float:
-    """L_n / n, the log of the n-th root of |p(n, 1)|.
-
-    Its sign regime over large n (negative / inside a small band around 0 /
-    positive) drives the stability trichotomy.
-    """
-    _check_index(n, 2, ledger.horizon + 1, "n")
-    return float(ledger.logmag[n]) / n
 
 
 def tracking_sum_max(ledger: PartialProductLedger, upto: int, start: int = 1, log_past: float = -math.inf) -> float:

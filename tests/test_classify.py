@@ -242,6 +242,23 @@ def test_tracking_constant_values():
         assert v.log_constant == pytest.approx(math.log(expect), abs=1e-12)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 12))
+def test_pure_contracting_cycle_constant_is_its_limits(seed, k):
+    # With no prefix each residue class of tracking sums rises from T_0 = 0
+    # to its limit, so no sum within the first cycle exceeds the constant,
+    # and taking those sums in too, as a cycle with a prefix must, would
+    # leave every bit of it as it is.
+    rng = np.random.default_rng(seed)
+    logs = rng.uniform(-1.0, 1.0, k)
+    logs += (-(10.0 ** rng.uniform(-8.0, 0.0)) - logs.sum()) / k
+    a = np.exp(logs + 2j * np.pi * rng.uniform(0.0, 1.0, k))
+    spec = hs.periodic_spec([(x, 1.0) for x in a])
+    v = hs.classify(spec)
+    assert v.criterion == "periodic_contracting"
+    assert hs.tracking_sum_max(hs.build_ledger(spec, k), k) <= v.log_constant
+
+
 def test_tracking_constant_requires_stable():
     v = hs.classify(hs.builtin_example("alternating_2_half"), HorizonConfig(N=100))
     assert v.status == UNSTABLE
@@ -443,7 +460,7 @@ def _phase_aligned_shadow(spec, N, eps):
     r = hs.realize_plan(hs.PerturbationPlan(variant="phase_aligned", epsilon=eps), led, N)
     orbit = hs.perturbed_orbit(spec, 0.3 - 0.1j, r, eps)
     if v.criterion in EXPANDING_CRITERIA:
-        res = hs.shadow_expanding(orbit, spec, led, tail_tol=math.inf)
+        res = hs.shadow_expanding(orbit, spec, led)
     else:
         res = hs.shadow_contracting(orbit, spec, led)
     return v, float(np.nanmax(res.log10_errors)) * math.log(10.0)

@@ -151,7 +151,6 @@ def test_shadow_expanding_construction(capsys):
     doc = json.loads(out)
     assert doc["construction"] == "reciprocal_series"
     assert doc["bound_satisfied"] is True
-    assert doc["tail_estimate"] < 1e-50
 
 
 def test_shadow_expanding_bound_is_series_envelope(tmp_path, capsys):
@@ -185,7 +184,7 @@ def test_shadow_refuses_unstable_without_force(capsys):
     assert json.loads(out2)["bound"] is None
 
 
-@pytest.mark.parametrize("flag, value", [("--epsilon", "-1"), ("--tail-tol", "-1"), ("--tail-tol", "0")])
+@pytest.mark.parametrize("flag, value", [("--epsilon", "-1")])
 @pytest.mark.parametrize("builtin", ["period3_2_i_third", "constant"])
 def test_shadow_refuses_negative_epsilon_or_tail_tol(capsys, builtin, flag, value):
     code, out, err = run(capsys, "shadow", "--builtin", builtin, "--horizon", "200", flag, value)
@@ -200,10 +199,22 @@ def test_shadow_zero_epsilon_is_the_exact_orbit(capsys):
     assert (doc["epsilon"], doc["sup_error"], doc["bound"], doc["bound_satisfied"]) == (0.0, 0.0, 0.0, True)
 
 
-def test_shadow_unconverged_tail_is_an_error_line(capsys):
-    code, out, err = run(capsys, "shadow", "--builtin", "constant", "--a", "1.01", "--horizon", "100")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: tail estimate") and err.count("\n") == 1
+@pytest.mark.parametrize("source, horizon", [("constant_1.01", 100), ("run60", 62), ("run60", 80), ("run60", 100)])
+def test_series_shadow_of_an_exact_verdict_holds_at_any_horizon(tmp_path, capsys, source, horizon):
+    # The truncated series shadow's error at every horizon is at most eps
+    # times the verdict's series envelope, however slowly the series
+    # converges (|a| = 1.01) and however far the products sink before the
+    # cycle takes over (60 x a = 1/2, then 3, with L_N < 0 at N = 80).
+    args = ["--builtin", "constant", "--a", "1.01"]
+    if source == "run60":
+        path = tmp_path / "run60.json"
+        path.write_text(json.dumps({"kind": "table", "table": [[0.5, 0, 1, 0]] * 60 + [[3, 0, 1, 0]],
+                                    "tail": "repeat"}))
+        args = ["--spec", str(path)]
+    code, out, err = run(capsys, "shadow", *args, "--horizon", str(horizon), "--out", str(tmp_path / "z.csv"))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["construction"] == "reciprocal_series" and doc["bound_satisfied"] is True
 
 
 def test_shadow_csv_does_not_depend_on_the_cpu_count(tmp_path, capsys, monkeypatch):
@@ -248,9 +259,20 @@ def test_shadow_refuses_series_start_past_float_range(tmp_path, capsys):
     # 1100 x a = 1/2, then 2: the series start z_1 - w_1 ~ eps 2^1100 is not
     # a float, so the command refuses in one line
     spec = _run_table(tmp_path / "run.json", 0.5, 2.0)
-    code, out, err = run(capsys, "shadow", "--spec", spec)
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and "log|z_1 - w_1|" in err
+    for horizon in ("1200", "10000"):
+        code, out, err = run(capsys, "shadow", "--spec", spec, "--horizon", horizon)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and "log|z_1 - w_1|" in err
+
+
+def test_forced_shadow_past_float_range_falls_back_unbounded(tmp_path, capsys):
+    spec = _run_table(tmp_path / "run.json", 0.5, 2.0)
+    code, out, err = run(capsys, "shadow", "--spec", spec, "--horizon", "1200", "--force",
+                         "--out", str(tmp_path / "z.csv"))
+    assert (code, err) == (0, "")
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["status"] == "Stable" and doc["construction"] == "equal_start"
+    assert doc["bound"] is None and doc["bound_satisfied"] is None
 
 
 def test_witness_reciprocal_sum_past_float_range(tmp_path, capsys):
@@ -381,7 +403,7 @@ def test_public_names_are_pinned():
         "PartialProductLedger", "PerturbationPlan", "PerturbedOrbit", "ShadowResult",
         "StabilityVerdict", "Trajectory", "best_shadow_oracle", "build_ledger", "builtin_example", "classify",
         "classify_numeric", "classify_periodic", "coeff_arrays", "constant_spec", "dynamics", "errors",
-        "geometric_mean_exponent", "iterate", "make_witness", "periodic_spec", "perturbed_orbit", "products",
+        "iterate", "make_witness", "periodic_spec", "perturbed_orbit", "products",
         "realize_plan", "run_witness", "sequences", "shadow_contracting", "shadow_expanding", "spec_from_json",
         "spec_to_json", "table_spec", "tracking_sum_max", "validate", "witness",
     ]
@@ -396,7 +418,7 @@ def test_bad_command_line_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--help"])
     assert exc.value.code == 0
-    assert "--tail-tol" in capsys.readouterr().out
+    assert "--epsilon" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("flag, argv", [
@@ -404,7 +426,7 @@ def test_bad_command_line_exits_2(capsys):
     ("--epsilon", ["witness", "--builtin", "alternating_2_half", "--epsilon", "inf"]),
     ("--epsilon", ["shadow", "--builtin", "period3_2_i_third", "--epsilon", "nan"]),
     ("--band", ["classify", "--builtin", "period3_2_i_third", "--band", "nan"]),
-    ("--tail-tol", ["shadow", "--builtin", "constant", "--tail-tol", "nan"]),
+    ("--a", ["shadow", "--builtin", "constant", "--a", "nan"]),
     ("--z1", ["simulate", "--builtin", "constant", "--z1", "nan"]),
     ("--z1", ["shadow", "--builtin", "period3_2_i_third", "--z1", "nan"]),
     ("--z1", ["shadow", "--builtin", "constant", "--z1", "nan"]),

@@ -69,8 +69,8 @@ def forks(monkeypatch):
 
 
 def _allow_cpus(monkeypatch, k):
-    # More CPUs than the machine has is fine: a child that cannot be bound
-    # to its CPU formats where it is.
+    # More CPUs than the machine has is fine: the children share the CPUs
+    # there are.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)))
 
 

@@ -248,7 +248,6 @@ def test_shadow_expanding_constant2_bound():
     res = hs.shadow_expanding(orbit, spec, led)
     assert res.sup_error <= eps * (1 + 1e-9)
     assert res.sup_error == pytest.approx(eps, rel=1e-3)
-    assert res.tail_estimate < 1e-100
     # the error at the horizon itself vanishes: the truncated series shadow
     # is built to land on w at n = N
     assert res.errors[N] == 0.0
@@ -337,11 +336,14 @@ def test_shadow_expanding_no_underflow_within_a_block():
     assert np.all(np.abs(res.errors[1:N] - exact) <= 1e-10 * exact)
 
 
-def test_shadow_expanding_rejects_contracting_tail():
-    spec = hs.builtin_example("constant", a=0.5, b=1)
-    led = hs.build_ledger(spec, 100)
-    orbit = hs.perturbed_orbit(spec, 1.0, padded(np.full(99, 0.01)), 0.01)
-    with pytest.raises(TailNotConvergent):
+def test_shadow_expanding_refuses_a_start_past_float_range():
+    # 1100 x a = 1/2, then 2: Stable and expanding, but the series start
+    # z_1 - w_1 ~ eps 2^1100 is past float range
+    spec = hs.table_spec([(0.5, 1.0)] * 1100 + [(2.0, 1.0)], tail="repeat")
+    N = 1200
+    led = hs.build_ledger(spec, N)
+    orbit = hs.perturbed_orbit(spec, 1.0, padded(np.full(N - 1, 0.01)), 0.01)
+    with pytest.raises(TailNotConvergent, match=r"log\|z_1 - w_1\|"):
         hs.shadow_expanding(orbit, spec, led)
 
 

@@ -109,25 +109,6 @@ def test_recurrence_identity_linear_scale():
                     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
-def test_geometric_mean_exponent_sparse_squares():
-    spec = hs.builtin_example("sparse3_squares")
-    led = hs.build_ledger(spec, 1100)
-    a, _ = coeffs_upto(spec, 1100)
-    for m in (3, 10, 31):
-        n = m * m + 1
-        direct = math.fsum(math.log(abs(a[j])) for j in range(1, n)) / n  # product oracle
-        got = hs.geometric_mean_exponent(led, n)
-        assert got == pytest.approx(direct, abs=1e-12)
-        assert got == pytest.approx(m * math.log(3) / n, rel=1e-12)
-
-
-def test_geometric_mean_exponent_constants():
-    led1 = hs.build_ledger(hs.builtin_example("constant", a=1, b=9), 20)
-    assert all(hs.geometric_mean_exponent(led1, n) == 0.0 for n in range(2, 21))
-    led2 = hs.build_ledger(hs.builtin_example("constant", a=2, b=0), 20)
-    assert hs.geometric_mean_exponent(led2, 10) == pytest.approx(9 * math.log(2) / 10, rel=1e-14)
-
-
 def test_tracking_sum_contracting_geometric():
     # The sums increase with n, so the supremum up to n is the n-th sum.
     spec = hs.builtin_example("constant", a=0.5, b=0)
@@ -225,8 +206,6 @@ def test_ledger_reads_refuse_indices_past_the_horizon():
     led = hs.build_ledger(hs.builtin_example("constant", a=2, b=0), 10)
     with pytest.raises(IndexOutOfRange):
         hs.tracking_sum_max(led, 11)
-    with pytest.raises(IndexOutOfRange):
-        hs.geometric_mean_exponent(led, 30)
 
 
 def test_zero_coefficient_propagates_through_ledger():
