@@ -34,7 +34,7 @@ def main() -> int:
         spec = hs.builtin_example(name, **params)
         verdict = hs.classify(spec)
         ledger = hs.build_ledger(spec, args.horizon)
-        plan = hs.make_witness(spec, ledger, verdict.criterion, args.epsilon)
+        plan = hs.make_witness(ledger, verdict.criterion, args.epsilon)
         curve = hs.run_witness(spec, plan, args.horizon, ledger=ledger)
         tag = name if not params else f"{name}_{next(iter(params.values()))}"
         (args.outdir / f"{tag}.csv").write_text(curve.to_csv())

@@ -33,11 +33,10 @@ def main() -> int:
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args()
 
-    cfg = hs.HorizonConfig(N=args.horizon)
     lines = []
     for name, params in CASES:
         spec = hs.builtin_example(name, **params)
-        verdict = hs.classify(spec, cfg)
+        verdict = hs.classify(spec, args.horizon)
         row = {
             "name": name,
             "params": {k: (v if not isinstance(v, complex) else [v.real, v.imag]) for k, v in params.items()},

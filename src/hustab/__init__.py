@@ -7,7 +7,6 @@ numerically at finite horizons.
 """
 
 from .classify import (
-    HorizonConfig,
     StabilityVerdict,
     classify,
     classify_numeric,

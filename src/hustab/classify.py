@@ -6,8 +6,9 @@ verdict through the cycle product q = prod a_k: |q| < 1 and |q| > 1 are
 both Stable (with different shadow constructions and tracking constants)
 while |q| = 1 is Unstable because the partial products stay bounded and
 bounded away from zero. Formula families and error-tail tables are
-estimated at a finite horizon from the windowed behaviour of the
-geometric-mean exponent L_n / n and labelled as such.
+estimated at the horizon N from the geometric-mean exponent L_n / n over
+the trailing half of the indices (WINDOW), compared with a band of half
+width BAND around 0, and labelled as finite-horizon verdicts.
 
 A Stable verdict's tracking constant c is the exact error envelope of the
 shadow construction it names, so sup_n |w_n - z_n| <= c epsilon for every
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange
 from .products import (
     PartialProductLedger,
     build_ledger,
@@ -40,6 +40,11 @@ UNDETERMINED = "Undetermined"
 
 EXPANDING_CRITERIA = frozenset({"periodic_expanding", "geomean_expanding"})
 UNSTABLE_CRITERIA = frozenset({"geomean_subexponential", "bounded_products", "linear_growth_products"})
+
+# The finite-horizon detector reads L_n / n over the trailing WINDOW share
+# of the indices 1..N and counts it as vanishing within BAND of 0.
+WINDOW = 0.5
+BAND = 0.02
 
 # Finite-horizon detector thresholds for the bounded-products branch:
 # products count as bounded while max L_n stays under this log bound, and
@@ -63,31 +68,6 @@ def log_scaled(name: str, log_value: float | None) -> dict:
 
 
 @dataclass(frozen=True)
-class HorizonConfig:
-    """Finite-horizon estimation knobs.
-
-    N:       horizon (indices materialized and classified over)
-    window:  trailing fraction of indices used for liminf/limsup estimates
-    band:    half-width around 0 inside which L_n / n counts as vanishing
-    """
-
-    N: int = 10_000
-    window: float = 0.5
-    band: float = 0.02
-
-    def __post_init__(self):
-        if self.N < 2:
-            raise ValueError(f"horizon must be >= 2, got {self.N}")
-        if not 0.0 < self.window <= 1.0:
-            raise ValueError(f"window must lie in (0, 1], got {self.window}")
-        if not 0.0 < self.band < math.inf:
-            raise ValueError(f"band must be positive and finite, got {self.band}")
-
-    def to_json(self) -> dict:
-        return {"N": self.N, "window": self.window, "band": self.band}
-
-
-@dataclass(frozen=True)
 class StabilityVerdict:
     """Outcome of a classification.
 
@@ -104,7 +84,6 @@ class StabilityVerdict:
     estimates: dict
     finite_horizon: bool
     horizon: int | None
-    config: HorizonConfig | None = None
 
     def __post_init__(self):
         if self.status == STABLE and not (self.log_constant is not None and math.isfinite(self.log_constant)):
@@ -130,11 +109,10 @@ class StabilityVerdict:
             "estimates": dict(self.estimates),
             "finite_horizon": self.finite_horizon,
             "horizon": self.horizon,
-            "config": self.config.to_json() if self.config else None,
         }
 
 
-def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -> StabilityVerdict:
+def classify_periodic(spec: CoefficientSpec, N: int) -> StabilityVerdict:
     """Exact trichotomy on |q|, q = product of the cycle a_s..a_k that
     follows the prefix a_1..a_{s-1}, s = spec.cycle_start.
 
@@ -152,10 +130,9 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
     Both denominators are -expm1(-|log Q|), which stays exact where Q rounds
     to 1. The tail's shift by a cycle is the ledger's own L_{k+1} - L_s, so
     it carries the same rounding as the terms it continues.
-    log_sup_abs_p, max L_1..L_N over the configured horizon, is read off
-    the first cycle and the count of cycles that fit.
+    log_sup_abs_p, max L_1..L_N over the horizon N, is read off the first
+    cycle and the count of cycles that fit.
     """
-    cfg = cfg or HorizonConfig()
     s = spec.cycle_start
     if s is None:
         raise ValueError("exact cycle classification needs constant or periodic entries, or a table with "
@@ -166,7 +143,6 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
     L = ledger.logmag
     (log_mag,) = coeff_arrays(spec, np.arange(s, k + 1), "log_abs")
     log_q = math.fsum(log_mag.tolist())
-    N = cfg.N
     log_sup_p = float(np.max(L[1 : min(N, k) + 1]))
     if log_q > 0.0 and N > k:  # each slot of the cycle at its last index up to N
         log_sup_p = max(log_sup_p, float(np.max(L[s : k + 1] + (N - np.arange(s, k + 1)) // p * log_q)))
@@ -180,7 +156,7 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
     def verdict(status, criterion, log_constant=None):
         return StabilityVerdict(
             status=status, criterion=criterion, log_constant=log_constant,
-            estimates=estimates, finite_horizon=False, horizon=None, config=cfg,
+            estimates=estimates, finite_horizon=False, horizon=None,
         )
 
     if log_q == 0.0:
@@ -197,27 +173,21 @@ def classify_periodic(spec: CoefficientSpec, cfg: HorizonConfig | None = None) -
     return verdict(STABLE, "periodic_expanding", log_series_envelope(ledger, k, log_tail))
 
 
-def classify_numeric(
-    spec: CoefficientSpec,
-    ledger: PartialProductLedger,
-    cfg: HorizonConfig | None = None,
-) -> StabilityVerdict:
-    """Finite-horizon decision procedure on the windowed L_n / n values.
+def classify_numeric(ledger: PartialProductLedger) -> StabilityVerdict:
+    """Finite-horizon decision procedure on the windowed L_n / n values,
+    over the ledger's horizon N.
 
-    In order: windowed max below -band is Stable (contracting, constant is
-    the horizon supremum of the tracking sums); windowed min above +band
+    In order: windowed max below -BAND is Stable (contracting, constant is
+    the horizon supremum of the tracking sums); windowed min above +BAND
     is Stable (expanding, constant is the series envelope over the
     horizon, log_series_envelope); the whole window inside
     the band is Unstable (subexponential products); bounded products whose
     n-weighted supremum still grows is Unstable (linear growth); anything
     else is Undetermined. All verdicts carry their estimates.
     """
-    cfg = cfg or HorizonConfig()
-    N = cfg.N
-    if ledger.horizon < N:
-        raise IndexOutOfRange(f"ledger horizon {ledger.horizon} < configured N {N}")
+    N = ledger.horizon
     L = ledger.logmag
-    w0 = max(2, int(N * (1.0 - cfg.window)) + 1)
+    w0 = max(2, int(N * (1.0 - WINDOW)) + 1)
     ns = np.arange(w0, N + 1)
     g = L[w0 : N + 1] / ns
     gmin, gmax = float(np.min(g)), float(np.max(g))
@@ -247,15 +217,14 @@ def classify_numeric(
     def verdict(status, criterion, log_constant=None):
         return StabilityVerdict(
             status=status, criterion=criterion, log_constant=log_constant,
-            estimates=estimates, finite_horizon=True, horizon=N, config=cfg,
+            estimates=estimates, finite_horizon=True, horizon=N,
         )
 
-    eta = cfg.band
-    if gmax < -eta:
+    if gmax < -BAND:
         return verdict(STABLE, "geomean_contracting", log_constant=log_sup_track)
-    if gmin > eta:
+    if gmin > BAND:
         return verdict(STABLE, "geomean_expanding", log_constant=log_series_envelope(ledger, N))
-    if max(abs(gmin), abs(gmax)) <= eta:
+    if max(abs(gmin), abs(gmax)) <= BAND:
         return verdict(UNSTABLE, "geomean_subexponential")
     if log_sup_p < LOG_PRODUCT_BOUND:
         slope = float(np.polyfit(-np.log(ns), L[w0 : N + 1], 1)[0])
@@ -267,17 +236,20 @@ def classify_numeric(
 
 def classify(
     spec: CoefficientSpec,
-    cfg: HorizonConfig | None = None,
+    N: int = 10_000,
     ledger: PartialProductLedger | None = None,
 ) -> StabilityVerdict:
-    """Front door: exact classification of every spec that ends in a cycle,
-    finite-horizon estimation of the rest (formula families, error tails).
-    Both take their constants from tracking_sum_max and log_series_envelope,
-    the exact ones with the cycle's tail carried in."""
-    cfg = cfg or HorizonConfig()
+    """Front door at horizon N >= 2: exact classification of every spec
+    that ends in a cycle, finite-horizon estimation of the rest (formula
+    families, error tails) over a ledger of horizon N, the given one when
+    it has that horizon. Both take their constants from tracking_sum_max
+    and log_series_envelope, the exact ones with the cycle's tail carried
+    in."""
+    if N < 2:
+        raise ValueError(f"horizon must be >= 2, got {N}")
     if spec.cycle_start is not None:
-        return classify_periodic(spec, cfg)
-    if ledger is None or ledger.horizon < cfg.N:
-        ledger = build_ledger(spec, cfg.N)
-    return classify_numeric(spec, ledger, cfg)
+        return classify_periodic(spec, N)
+    if ledger is None or ledger.horizon != N:
+        ledger = build_ledger(spec, N)
+    return classify_numeric(ledger)
 

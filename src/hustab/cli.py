@@ -1,7 +1,8 @@
 """Command-line front door: classify specs, run orbits, shadows, witnesses.
 
-Exit codes: 0 success, 1 invalid input or refused precondition,
-2 Undetermined verdict (distinct from errors so scripts can branch).
+Exit codes: 0 success, 1 invalid input (a bad command line included) or
+refused precondition, 2 Undetermined verdict (distinct from errors so
+scripts can branch).
 Identical configurations, including the seed, produce byte-identical
 outputs.
 """
@@ -14,6 +15,7 @@ import functools
 import json
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -24,16 +26,11 @@ from .classify import (
     STABLE,
     UNDETERMINED,
     UNSTABLE,
-    HorizonConfig,
     classify,
     log_scaled,
 )
 from .errors import InvalidSpec, StabilityToolError, TailNotConvergent
 from .products import build_ledger
-
-
-def _horizon_config(cfg: argparse.Namespace) -> HorizonConfig:
-    return HorizonConfig(N=cfg.horizon, window=cfg.window, band=cfg.band)
 
 
 def _build_spec(cfg: argparse.Namespace) -> sequences.CoefficientSpec:
@@ -52,15 +49,16 @@ def _dump_json(data: dict) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _emit(cfg: argparse.Namespace, artifact: str, summary: dict) -> None:
+def _emit(cfg: argparse.Namespace, artifact: Callable[[], str], summary: dict) -> None:
     """The artifact (a CSV, or a JSON document) goes to --out when given;
     the JSON summary goes to stdout. Without --out, --format picks which
-    of the two streams to print."""
+    of the two streams to print. The artifact is a zero-argument callable
+    that returns the text, called only when the text is written."""
     if cfg.out is not None:
-        Path(cfg.out).write_text(artifact)
+        Path(cfg.out).write_text(artifact())
         sys.stdout.write(_dump_json(summary))
     elif cfg.fmt == "csv":
-        sys.stdout.write(artifact)
+        sys.stdout.write(artifact())
     else:
         sys.stdout.write(_dump_json(summary))
 
@@ -77,16 +75,15 @@ def _random_perturbations(rng: np.random.Generator, epsilon: float, N: int) -> n
 
 def cmd_classify(cfg: argparse.Namespace) -> int:
     spec = _build_spec(cfg)
-    verdict = classify(spec, _horizon_config(cfg))
+    verdict = classify(spec, cfg.horizon)
     doc = verdict.to_json()
-    _emit(cfg, _dump_json(doc), doc)  # the verdict is both artifact and summary
+    _emit(cfg, lambda: _dump_json(doc), doc)  # the verdict is both artifact and summary
     return 2 if verdict.status == UNDETERMINED else 0
 
 
 def cmd_simulate(cfg: argparse.Namespace) -> int:
     spec = _build_spec(cfg)
     traj = dynamics.iterate(spec, cfg.z1, cfg.horizon)
-    csv_text = dynamics.trajectory_csv(traj)
     final = complex(traj.values[-1])
     summary = {
         "command": "simulate",
@@ -95,7 +92,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> int:
         # JSON has no infinity or NaN: an orbit that left float range has no final value
         "final": [final.real, final.imag] if cmath.isfinite(final) else None,
     }
-    _emit(cfg, csv_text, summary)
+    _emit(cfg, lambda: dynamics.trajectory_csv(traj), summary)
     return 0
 
 
@@ -105,7 +102,7 @@ def cmd_shadow(cfg: argparse.Namespace) -> int:
     spec = _build_spec(cfg)
     N = cfg.horizon
     ledger = build_ledger(spec, N)
-    verdict = classify(spec, _horizon_config(cfg), ledger=ledger)
+    verdict = classify(spec, N, ledger=ledger)
     if verdict.status != STABLE and not cfg.force:
         sys.stderr.write(f"spec is {verdict.status}; pass --force to shadow anyway\n")
         return 1
@@ -142,7 +139,7 @@ def cmd_shadow(cfg: argparse.Namespace) -> int:
         **log_scaled("bound", log_bound),
         "bound_satisfied": None if log_bound is None else bool(log_sup_error <= log_bound),
     }
-    _emit(cfg, dynamics.shadow_csv(result, orbit), summary)
+    _emit(cfg, lambda: dynamics.shadow_csv(result, orbit), summary)
     return 0
 
 
@@ -150,12 +147,12 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
     spec = _build_spec(cfg)
     N = cfg.horizon
     ledger = build_ledger(spec, N)
-    verdict = classify(spec, _horizon_config(cfg), ledger=ledger)
+    verdict = classify(spec, N, ledger=ledger)
     if verdict.status == STABLE and not cfg.force:
         sys.stderr.write("spec is Stable; pass --force to run a witness anyway\n")
         return 1
     if verdict.status == UNSTABLE:
-        plan = witness.make_witness(spec, ledger, verdict.criterion, cfg.epsilon)
+        plan = witness.make_witness(ledger, verdict.criterion, cfg.epsilon)
     else:
         plan = witness.PerturbationPlan(variant="phase_aligned", epsilon=cfg.epsilon)
     curve = witness.run_witness(spec, plan, N, ledger=ledger)
@@ -171,7 +168,7 @@ def cmd_witness(cfg: argparse.Namespace) -> int:
         "growth_to_n": to_n,
         "final_divergence": float(curve.values[-1]),
     }
-    _emit(cfg, curve.to_csv(), summary)
+    _emit(cfg, curve.to_csv, summary)
     return 0
 
 
@@ -184,7 +181,7 @@ def cmd_examples(cfg: argparse.Namespace) -> int:
         for name in sequences.BUILTIN_NAMES:
             spec = sequences.builtin_example(name, alpha=cfg.alpha, p=cfg.p, a=cfg.a, b=cfg.b)
             doc[name] = sequences.spec_to_json(spec)
-    _emit(cfg, _dump_json(doc), doc)
+    _emit(cfg, lambda: _dump_json(doc), doc)
     return 0
 
 
@@ -197,11 +194,19 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a bad command line's message as a ValueError, so that main
+    ends it in exit 1 and one error line like any other invalid input."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """One parser for every command: they all take the same flags. Built
     on first use and kept: parse_args fills a new namespace per call."""
-    p = argparse.ArgumentParser(prog="hustab", description=__doc__)
+    p = _Parser(prog="hustab", description=__doc__)
     p.add_argument("command", choices=tuple(_COMMANDS))
     p.add_argument("--builtin", help="builtin example name")
     p.add_argument("--spec", dest="spec_path", help="path to a spec JSON file")
@@ -215,8 +220,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="output path for the CSV/JSON artifact")
     p.add_argument("--force", action="store_true")
-    p.add_argument("--band", type=float, default=0.02)
-    p.add_argument("--window", type=float, default=0.5)
     p.add_argument("--z1", type=complex, default=0.0 + 0.0j, help="initial value")
     return p
 
@@ -231,8 +234,8 @@ def _check_finite(cfg: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    cfg = _parser().parse_args(argv)
     try:
+        cfg = _parser().parse_args(argv)
         _check_finite(cfg)
         return _COMMANDS[cfg.command](cfg)
     except (StabilityToolError, ValueError, OSError, json.JSONDecodeError) as exc:

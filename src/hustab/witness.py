@@ -122,7 +122,6 @@ def reciprocal_sum_converged(ledger: PartialProductLedger) -> bool:
 
 
 def make_witness(
-    spec: CoefficientSpec,
     ledger: PartialProductLedger,
     criterion: str,
     epsilon: float,
@@ -473,7 +472,6 @@ def _solve(obj: _Objective, start=_COLD) -> tuple[complex, float, tuple]:
 
 def best_shadow_oracle(
     orbit: PerturbedOrbit,
-    spec: CoefficientSpec,
     ledger: PartialProductLedger,
     N: int,
 ) -> OracleResult:

@@ -131,7 +131,7 @@ def test_criterion_4_expanding_shadow_bound():
     orbit = hs.perturbed_orbit(spec, 1.0 + 0.5j, r, eps)
     shadow = hs.shadow_expanding(orbit, spec, led)
     bound = eps / (2.0 ** (1.0 - delta) - 1.0)
-    oracle = hs.best_shadow_oracle(orbit, spec, led, N)
+    oracle = hs.best_shadow_oracle(orbit, led, N)
     prediction = eps * (1.0 - 2.0 ** -(N - 2))  # geometric-tail series value
     ok = (
         shadow.sup_error <= bound
@@ -160,11 +160,11 @@ def test_criterion_5_instability_signatures():
         spec = hs.builtin_example(name, **kw)
         verdict = hs.classify(spec)  # default config
         led = hs.build_ledger(spec, 4000)
-        plan = hs.make_witness(spec, led, verdict.criterion, epsilon=1.0)
+        plan = hs.make_witness(led, verdict.criterion, epsilon=1.0)
         r = hs.realize_plan(plan, led, 4000)
         orbit = hs.perturbed_orbit(spec, 0.0, r, 1.0)
-        v_lo = hs.best_shadow_oracle(orbit, spec, led, 1000).value
-        v_hi = hs.best_shadow_oracle(orbit, spec, led, 4000).value
+        v_lo = hs.best_shadow_oracle(orbit, led, 1000).value
+        v_hi = hs.best_shadow_oracle(orbit, led, 4000).value
         ratio = math.inf if v_lo == 0 else v_hi / v_lo
         ok = ok and verdict.status == UNSTABLE and ratio >= 3.0
         details.append(f"{name}{'' if not kw else kw}: x{ratio:.3g} ({plan.variant})")

@@ -16,18 +16,17 @@ from conftest import (
     random_table_spec,
 )
 from hustab.classify import (
+    BAND,
     EXPANDING_CRITERIA,
     STABLE,
     UNDETERMINED,
     UNSTABLE,
-    HorizonConfig,
 )
-from hustab.errors import IndexOutOfRange
 from hustab.products import log_series_envelope
 
 
 def test_period3_stable_with_constant_below_16():
-    v = hs.classify_periodic(hs.builtin_example("period3_2_i_third"))
+    v = hs.classify_periodic(hs.builtin_example("period3_2_i_third"), 10_000)
     assert v.status == STABLE
     assert v.criterion == "periodic_contracting"
     assert v.constant < 16.0
@@ -35,14 +34,14 @@ def test_period3_stable_with_constant_below_16():
 
 
 def test_alternating_unimodular_cycle_unstable():
-    v = hs.classify_periodic(hs.builtin_example("alternating_2_half"))
+    v = hs.classify_periodic(hs.builtin_example("alternating_2_half"), 10_000)
     assert v.status == UNSTABLE
     assert v.criterion == "bounded_products"
 
 
 def test_sparse3_periodic_expanding():
     for p in (1, 2, 4):
-        v = hs.classify_periodic(hs.builtin_example("sparse3_periodic", p=p))
+        v = hs.classify_periodic(hs.builtin_example("sparse3_periodic", p=p), 10_000)
         assert v.status == STABLE
         assert v.criterion == "periodic_expanding"
         # reciprocals 1, ..., 1, 1/3: the series envelope starts after the 3,
@@ -59,13 +58,13 @@ def test_constant_trichotomy():
         (-1.0, UNSTABLE, "bounded_products"),
     ]
     for a, status, criterion in cases:
-        v = hs.classify_periodic(hs.builtin_example("constant", a=a, b=3))
+        v = hs.classify_periodic(hs.builtin_example("constant", a=a, b=3), 10_000)
         assert (v.status, v.criterion) == (status, criterion)
 
 
 def test_classify_periodic_rejects_formula_specs():
     with pytest.raises(ValueError, match="exact cycle classification needs constant or periodic"):
-        hs.classify_periodic(hs.builtin_example("sparse3_squares"))
+        hs.classify_periodic(hs.builtin_example("sparse3_squares"), 10_000)
 
 
 def test_numeric_near_parabolic_subexponential():
@@ -87,9 +86,7 @@ def test_numeric_constant_expanding_constant_value():
     # the numeric path, called on a table copy of constant 2: the series
     # envelope sum_{k>m} 2^{m-k} up to the horizon is 1 - 2^{-N}
     spec = hs.table_spec([(2.0, 5.0)], tail="repeat")
-    cfg = HorizonConfig(N=10_000)
-    led = hs.build_ledger(spec, cfg.N)
-    v = hs.classify_numeric(spec, led, cfg)
+    v = hs.classify_numeric(hs.build_ledger(spec, 10_000))
     assert v.status == STABLE
     assert v.criterion == "geomean_expanding"
     assert v.constant == pytest.approx(1.0, rel=1e-12)
@@ -98,16 +95,14 @@ def test_numeric_constant_expanding_constant_value():
 
 def test_numeric_constant_contracting_constant_value():
     spec = hs.table_spec([(0.5, 5.0)], tail="repeat")
-    cfg = HorizonConfig(N=4000)
-    led = hs.build_ledger(spec, cfg.N)
-    v = hs.classify_numeric(spec, led, cfg)
+    v = hs.classify_numeric(hs.build_ledger(spec, 4000))
     assert v.status == STABLE
     assert v.criterion == "geomean_contracting"
     assert v.constant == pytest.approx(2.0, rel=1e-6)
 
 
 def test_periodic_and_numeric_agree_on_builtins():
-    cfg = HorizonConfig(N=10_000)
+    N = 10_000
     specs = [
         hs.builtin_example("alternating_2_half"),
         hs.builtin_example("period3_2_i_third"),
@@ -116,25 +111,24 @@ def test_periodic_and_numeric_agree_on_builtins():
         hs.builtin_example("constant", a=1j, b=5),
     ] + [hs.builtin_example("sparse3_periodic", p=p) for p in (1, 2, 3, 5, 7)]
     for spec in specs:
-        exact = hs.classify_periodic(spec, cfg)
+        exact = hs.classify_periodic(spec, N)
         # rebuild as an aperiodic-looking table so the numeric path runs
         table = hs.table_spec(
-            [coeff_at(spec, n) for n in range(1, cfg.N + 2)], tail="error"
+            [coeff_at(spec, n) for n in range(1, N + 2)], tail="error"
         )
-        led = hs.build_ledger(table, cfg.N)
-        numeric = hs.classify_numeric(table, led, cfg)
+        numeric = hs.classify_numeric(hs.build_ledger(table, N))
         assert numeric.status == exact.status, spec
 
 
 def test_verdicts_ignore_b_values():
     base = hs.builtin_example("period3_2_i_third")
     moved = hs.periodic_spec([(a, b + 17j - 3) for a, b in base.entries])
-    v0, v1 = hs.classify_periodic(base), hs.classify_periodic(moved)
+    v0, v1 = hs.classify_periodic(base, 10_000), hs.classify_periodic(moved, 10_000)
     assert (v0.status, v0.criterion, v0.constant) == (v1.status, v1.criterion, v1.constant)
 
     spec = hs.builtin_example("sparse3_squares")
     led = hs.build_ledger(spec, 10_000)
-    v2 = hs.classify_numeric(spec, led)
+    v2 = hs.classify_numeric(led)
     # b never enters the ledger's log-magnitude accumulators
     assert v2.criterion == "geomean_subexponential"
 
@@ -155,7 +149,7 @@ def test_verdicts_ignore_phase_rotations(entries, angle):
     spec = hs.periodic_spec(entries)
     rot = complex(math.cos(angle), math.sin(angle))
     rotated = hs.periodic_spec([(a * rot, b) for a, b in entries])
-    v0, v1 = hs.classify_periodic(spec), hs.classify_periodic(rotated)
+    v0, v1 = hs.classify_periodic(spec, 10_000), hs.classify_periodic(rotated, 10_000)
     assert v0.status == v1.status
     assert v0.criterion == v1.criterion
     if v0.constant is not None:
@@ -175,25 +169,25 @@ def test_verdicts_ignore_phase_rotations(entries, angle):
     s=st.floats(min_value=1.0001, max_value=4.0),
 )
 def test_upward_scaling_never_turns_expanding_into_contracting(entries, s):
-    base = hs.classify_periodic(hs.periodic_spec(entries))
-    scaled = hs.classify_periodic(hs.periodic_spec([(a * s, b) for a, b in entries]))
+    base = hs.classify_periodic(hs.periodic_spec(entries), 10_000)
+    scaled = hs.classify_periodic(hs.periodic_spec([(a * s, b) for a, b in entries]), 10_000)
     if base.criterion == "periodic_expanding":
         assert scaled.criterion == "periodic_expanding"
 
 
 def test_linear_growth_products_branch():
     # a_n = sqrt(n / (n+1)) telescopes to |p(n, 1)| = n^{-1/2}: products stay
-    # bounded while n |p(n, 1)| = sqrt(n) diverges
-    n = 1000
+    # bounded while n |p(n, 1)| = sqrt(n) diverges. At N = 150 the windowed
+    # L_n / n lies across -BAND, so neither the geometric-mean branches nor
+    # the subexponential one decide, and the slope of L_n against -log n does.
+    n = 150
     pairs = [(math.sqrt(j / (j + 1.0)), 1.0) for j in range(1, n + 1)]
-    spec = hs.table_spec(pairs, tail="repeat")
-    cfg = HorizonConfig(N=n, window=0.99, band=0.005)
-    led = hs.build_ledger(spec, n)
-    v = hs.classify_numeric(spec, led, cfg)
+    v = hs.classify(hs.table_spec(pairs, tail="error"), n)
+    assert v.estimates["geomean_window_min"] < -BAND < v.estimates["geomean_window_max"]
     assert v.status == UNSTABLE
     assert v.criterion == "linear_growth_products"
     assert v.estimates["log_sup_abs_p"] <= 0.0
-    assert v.estimates["decay_slope_vs_log_n"] == pytest.approx(0.5, abs=0.05)
+    assert v.estimates["decay_slope_vs_log_n"] == pytest.approx(0.5, abs=1e-9)
 
 
 def _oscillating_spec(n):
@@ -211,33 +205,34 @@ def _oscillating_spec(n):
 
 def test_undetermined_for_oscillating_geometry():
     n = 1024
-    spec = _oscillating_spec(n)
-    cfg = HorizonConfig(N=n)
-    led = hs.build_ledger(spec, n)
-    v = hs.classify_numeric(spec, led, cfg)
+    v = hs.classify_numeric(hs.build_ledger(_oscillating_spec(n), n))
     assert v.status == UNDETERMINED
     assert v.criterion is None
     assert v.constant is None
 
 
 def test_horizon_too_small():
+    # classify reuses a given ledger only at its own horizon; a shorter or a
+    # longer one is rebuilt, and the numeric verdict reads its ledger's.
     spec = hs.builtin_example("sparse3_squares")
-    led = hs.build_ledger(spec, 100)
-    with pytest.raises(IndexOutOfRange, match="ledger horizon 100 < configured N 1000"):
-        hs.classify_numeric(spec, led, HorizonConfig(N=1000))
+    for other in (100, 2000):
+        v = hs.classify(spec, 1000, ledger=hs.build_ledger(spec, other))
+        assert v.horizon == 1000
+        assert v.to_json() == hs.classify(spec, 1000).to_json()
+    assert hs.classify_numeric(hs.build_ledger(spec, 100)).horizon == 100
 
 
 def test_tracking_constant_values():
-    cfg = HorizonConfig(N=2000)
-    assert hs.classify(hs.builtin_example("constant", a=0.5, b=5), cfg).constant == pytest.approx(2.0, rel=1e-12)
+    N = 2000
+    assert hs.classify(hs.builtin_example("constant", a=0.5, b=5), N).constant == pytest.approx(2.0, rel=1e-12)
     # forward-tail oracle: sum_{j>=1} 3^{-j} = 1/2
-    assert hs.classify(hs.builtin_example("constant", a=3, b=5), cfg).constant == pytest.approx(0.5, rel=1e-12)
-    c = hs.classify(hs.builtin_example("period3_2_i_third"), cfg).constant
+    assert hs.classify(hs.builtin_example("constant", a=3, b=5), N).constant == pytest.approx(0.5, rel=1e-12)
+    c = hs.classify(hs.builtin_example("period3_2_i_third"), N).constant
     assert c < 16.0
     assert c == pytest.approx(12.0, rel=1e-12)
     # the same sequences as repeat-tail tables: a prefix plus a cycle of one
     for a, expect in ((0.5, 2.0), (3.0, 0.5)):
-        v = hs.classify(hs.table_spec([(a, 5.0)], tail="repeat"), cfg)
+        v = hs.classify(hs.table_spec([(a, 5.0)], tail="repeat"), N)
         assert v.constant == pytest.approx(expect, rel=1e-12)
         assert v.log_constant == pytest.approx(math.log(expect), abs=1e-12)
 
@@ -260,7 +255,7 @@ def test_pure_contracting_cycle_constant_is_its_limits(seed, k):
 
 
 def test_tracking_constant_requires_stable():
-    v = hs.classify(hs.builtin_example("alternating_2_half"), HorizonConfig(N=100))
+    v = hs.classify(hs.builtin_example("alternating_2_half"), 100)
     assert v.status == UNSTABLE
     assert v.constant is None and v.log_constant is None
     fields = dict(criterion=None, estimates={}, finite_horizon=False, horizon=None)
@@ -276,9 +271,9 @@ def test_verdict_json_schema():
     doc = json.loads(json.dumps(v.to_json()))
     assert set(doc) == {
         "status", "criterion", "constant", "estimates",
-        "finite_horizon", "horizon", "config",
+        "finite_horizon", "horizon",
     }
-    assert doc["config"] == {"N": 10_000, "window": 0.5, "band": 0.02}
+    assert doc["horizon"] == 10_000
     assert doc["status"] == "Unstable"
 
     v2 = hs.classify(hs.builtin_example("constant", a=0.5, b=0))
@@ -288,13 +283,9 @@ def test_verdict_json_schema():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        HorizonConfig(N=1)
-    with pytest.raises(ValueError):
-        HorizonConfig(window=0.0)
-    for band in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            HorizonConfig(band=band)
+    for spec in (hs.builtin_example("sparse3_squares"), hs.builtin_example("period3_2_i_third")):
+        with pytest.raises(ValueError, match="horizon must be >= 2, got 1"):
+            hs.classify(spec, 1)
 
 
 # Each Stable constant is the exact error envelope of the shadow its verdict
@@ -315,7 +306,7 @@ _RUN_TABLE = hs.table_spec([(0.5, 1.0)] * 60 + [(3.0, 1.0)], tail="repeat")
     (_RUN_TABLE, 10**6, 2.0**61 + 2.0**59 - 2.0),
 ])
 def test_stable_constants_are_exact_envelopes(spec, N, expect):
-    v = hs.classify(spec, HorizonConfig(N=N))
+    v = hs.classify(spec, N)
     assert v.status == STABLE
     assert v.constant == pytest.approx(expect, rel=1e-12)
 
@@ -342,10 +333,10 @@ def test_repeat_table_of_a_constant_is_the_constant(x, status, criterion):
 def test_error_tail_has_no_cycle_and_is_estimated():
     spec = hs.table_spec([(0.5, 1.0)] * 100, tail="error")
     assert spec.cycle_start is None
-    v = hs.classify(spec, HorizonConfig(N=100))
+    v = hs.classify(spec, 100)
     assert v.finite_horizon and v.horizon == 100 and v.criterion == "geomean_contracting"
     with pytest.raises(ValueError, match="got a table spec with no cycle"):
-        hs.classify_periodic(spec)
+        hs.classify_periodic(spec, 10_000)
 
 
 _MODULUS_NEAR_ONE = st.one_of(st.floats(0.5, 2.0), st.floats(1 - 1e-9, 1 + 1e-9), st.just(1.0))
@@ -358,9 +349,8 @@ _PHASES = st.sampled_from([1, 1j, -1, -1j, complex(math.cos(0.6), math.sin(0.6))
        k=st.integers(1, 50), N=st.sampled_from([2, 3, 49, 50, 51, 1000, 10**6]))
 def test_constant_and_its_repeat_table_give_one_answer(r, phase, b, k, N):
     a = r * phase
-    cfg = HorizonConfig(N=N)
-    const = hs.classify(hs.constant_spec(a, b), cfg)
-    table = hs.classify(hs.table_spec([(a, b)] * k, tail="repeat"), cfg)
+    const = hs.classify(hs.constant_spec(a, b), N)
+    table = hs.classify(hs.table_spec([(a, b)] * k, tail="repeat"), N)
     assert (table.status, table.criterion) == (const.status, const.criterion)
     assert table.finite_horizon is const.finite_horizon is False
     if const.log_constant is None:
@@ -382,7 +372,7 @@ def test_repeat_tail_status_follows_the_last_modulus(seed, n, r, unit, N):
     logs = rng.uniform(math.log(0.25), math.log(4.0), n)
     a = [*np.exp(logs + 2j * np.pi * rng.uniform(0, 1, n)), r * unit]
     spec = hs.table_spec([(x, 1.0) for x in a], tail="repeat")
-    v = hs.classify(spec, HorizonConfig(N=N))
+    v = hs.classify(spec, N)
     last = abs(complex(a[-1]))
     if last == 1.0:
         assert (v.status, v.criterion) == (UNSTABLE, "bounded_products")
@@ -444,9 +434,8 @@ def test_exact_log_sup_abs_p_is_the_horizon_maximum(seed, kind, k, N):
     a = np.exp(rng.uniform(-1.0, 1.0, k) + 2j * np.pi * rng.uniform(0, 1, k))
     pairs = [(x, 1.0) for x in a]
     spec = hs.periodic_spec(pairs) if kind == "cycle" else hs.table_spec(pairs, tail="repeat")
-    cfg = HorizonConfig(N=N)
-    exact = hs.classify(spec, cfg).estimates["log_sup_abs_p"]
-    numeric = hs.classify_numeric(spec, hs.build_ledger(spec, N), cfg).estimates["log_sup_abs_p"]
+    exact = hs.classify(spec, N).estimates["log_sup_abs_p"]
+    numeric = hs.classify_numeric(hs.build_ledger(spec, N)).estimates["log_sup_abs_p"]
     assert exact == pytest.approx(numeric, rel=1e-12, abs=1e-12)
 
 
@@ -454,7 +443,7 @@ def _phase_aligned_shadow(spec, N, eps):
     """The verdict, and the log of the sup error its own shadow construction
     makes against r_j = eps p(j+1, 1) / |p(j+1, 1)|."""
     led = hs.build_ledger(spec, N)
-    v = hs.classify(spec, HorizonConfig(N=N), ledger=led)
+    v = hs.classify(spec, N, ledger=led)
     if v.status != STABLE:
         return v, None
     r = hs.realize_plan(hs.PerturbationPlan(variant="phase_aligned", epsilon=eps), led, N)

@@ -366,6 +366,26 @@ def test_simulate_csv(capsys):
     assert out == "n,re_z,im_z\n1,1.0,0.0\n2,7.0,0.0\n3,19.0,0.0\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["shadow", "--builtin", "period3_2_i_third", "--horizon", "500", "--seed", "7"],
+    ["simulate", "--builtin", "constant", "--a", "0.5", "--z1", "1", "--horizon", "500"],
+    ["witness", "--builtin", "alternating_2_half", "--epsilon", "1", "--horizon", "800"],
+])
+def test_summary_alone_formats_no_csv(tmp_path, capsys, monkeypatch, argv):
+    # Without --out and --format csv only the JSON summary is printed, so
+    # the CSV is never formatted; the summary is the one --out prints.
+    out = tmp_path / "artifact.csv"
+    code, with_out, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0 and out.read_text().startswith("n,")
+
+    def refuse(*args):
+        raise AssertionError("CSV formatted for a summary-only run")
+
+    monkeypatch.setattr(hs.dynamics, "_csv_text", refuse)
+    monkeypatch.setattr(hs.witness, "_csv_text", refuse)
+    assert run(capsys, *argv) == (0, with_out, "")
+
+
 def test_simulate_final_is_null_past_float_range(capsys):
     argv = ["simulate", "--builtin", "constant", "--a", "2", "--b", "5"]
     code, out, _ = run(capsys, *argv, "--horizon", "20")
@@ -399,7 +419,7 @@ def test_simulate_real_orbit_past_float_range_stays_infinite(capsys, a):
 def test_public_names_are_pinned():
     # A name joins the package surface only with a caller outside the tests.
     assert sorted(hs.__all__) == [
-        "BUILTIN_NAMES", "CoefficientSpec", "DivergenceCurve", "HorizonConfig", "OracleResult",
+        "BUILTIN_NAMES", "CoefficientSpec", "DivergenceCurve", "OracleResult",
         "PartialProductLedger", "PerturbationPlan", "PerturbedOrbit", "ShadowResult",
         "StabilityVerdict", "Trajectory", "best_shadow_oracle", "build_ledger", "builtin_example", "classify",
         "classify_numeric", "classify_periodic", "coeff_arrays", "constant_spec", "dynamics", "errors",
@@ -409,12 +429,18 @@ def test_public_names_are_pinned():
     ]
 
 
-def test_bad_command_line_exits_2(capsys):
-    for argv in (["nope"], []):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-    capsys.readouterr()
+def test_bad_command_line_exits_1(capsys):
+    # Exit 2 means Undetermined, so a command line argparse refuses ends like
+    # any other invalid input: exit 1 and one error line, with no usage text.
+    for argv, message in (
+        (["nosuch"], "argument command: invalid choice: 'nosuch'"),
+        ([], "the following arguments are required: command"),
+        (["classify", "--horizon", "abc"], "argument --horizon: invalid int value: 'abc'"),
+        (["classify", "--builtin", "constant", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
     with pytest.raises(SystemExit) as exc:
         main(["classify", "--help"])
     assert exc.value.code == 0
@@ -425,7 +451,7 @@ def test_bad_command_line_exits_2(capsys):
     ("--epsilon", ["witness", "--builtin", "alternating_2_half", "--epsilon", "nan"]),
     ("--epsilon", ["witness", "--builtin", "alternating_2_half", "--epsilon", "inf"]),
     ("--epsilon", ["shadow", "--builtin", "period3_2_i_third", "--epsilon", "nan"]),
-    ("--band", ["classify", "--builtin", "period3_2_i_third", "--band", "nan"]),
+    ("--alpha", ["classify", "--builtin", "near_parabolic", "--alpha", "nan"]),
     ("--a", ["shadow", "--builtin", "constant", "--a", "nan"]),
     ("--z1", ["simulate", "--builtin", "constant", "--z1", "nan"]),
     ("--z1", ["shadow", "--builtin", "period3_2_i_third", "--z1", "nan"]),
@@ -437,6 +463,15 @@ def test_non_finite_flag_is_one_line_error(capsys, flag, argv):
     code, out, err = run(capsys, *argv, "--horizon", "200")
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {flag} must be a finite number") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value", [("--band", "0.02"), ("--window", "0.5")])
+def test_removed_estimator_flags_are_one_line_errors(capsys, flag, value):
+    # The finite-horizon estimator's window and band are fixed constants;
+    # a command line that still sets either is refused, not ignored.
+    code, out, err = run(capsys, "classify", "--builtin", "period3_2_i_third", flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: unrecognized arguments: {flag} {value}\n"
 
 
 def test_parser_keeps_no_state_between_calls(tmp_path, capsys):

@@ -16,7 +16,6 @@ from conftest import (
     random_table_spec,
     subexponential_ratio,
 )
-from hustab.classify import HorizonConfig
 from hustab.errors import IndexOutOfRange, InvalidSpec
 from hustab.products import log_cumsum_exp, scaled_cumsum
 from hustab.sequences import coeff_arrays
@@ -221,15 +220,15 @@ def test_zero_coefficient_propagates_through_ledger():
 
 
 def test_classify_reads_L_alone_and_theta_is_built_on_first_read():
-    cfg = HorizonConfig(N=3000)
+    N = 3000
     table = random_table_spec(np.random.default_rng(8), 500, tail="repeat")
     for spec in (hs.builtin_example("near_parabolic", alpha=0.25), hs.builtin_example("sparse3_squares"), table):
-        led = hs.build_ledger(spec, cfg.N)
-        hs.classify(spec, cfg, ledger=led)
+        led = hs.build_ledger(spec, N)
+        hs.classify(spec, N, ledger=led)
         assert "phase" not in led.__dict__
     assert "_arg" not in table.__dict__
     cycle = hs.builtin_example("period3_2_i_third")
-    hs.classify(cycle, cfg)
+    hs.classify(cycle, N)
     assert "_arg" not in cycle.__dict__
     # Theta, built on its first read, is the sequential sum of the phases
     led = hs.build_ledger(table, 50)

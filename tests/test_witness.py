@@ -18,15 +18,15 @@ def _plan(spec, led, variant, eps):
     """The plan of the given variant: the phase-aligned plan itself, and the
     product-scaled one as make_witness builds it for linear growth."""
     if variant == "scaled_product":
-        return hs.make_witness(spec, led, "linear_growth_products", eps)
+        return hs.make_witness(led, "linear_growth_products", eps)
     return hs.PerturbationPlan(variant, eps)
 
 
 def test_alternating_gets_phase_aligned_equal_to_constant_eps():
     spec = hs.builtin_example("alternating_2_half")
     led = hs.build_ledger(spec, 500)
-    v = hs.classify_periodic(spec)
-    plan = hs.make_witness(spec, led, v.criterion, epsilon=1.0)
+    v = hs.classify_periodic(spec, 500)
+    plan = hs.make_witness(led, v.criterion, epsilon=1.0)
     assert plan.variant == "phase_aligned"
     aligned = hs.realize_plan(plan, led, 400)
     # phases of the partial products are all zero for real positive a, so
@@ -38,7 +38,7 @@ def test_alternating_gets_phase_aligned_equal_to_constant_eps():
 def test_phase_aligned_budget_is_saturated():
     spec = hs.builtin_example("near_parabolic", alpha=0.5)
     led = hs.build_ledger(spec, 300)
-    plan = hs.make_witness(spec, led, "geomean_subexponential", epsilon=0.1)
+    plan = hs.make_witness(led, "geomean_subexponential", epsilon=0.1)
     assert plan.variant == "phase_aligned"
     r = hs.realize_plan(plan, led, 300)
     mags = np.abs(r[1:])
@@ -50,7 +50,7 @@ def test_sparse3_squares_converged_sum_switches_to_scaled_product():
     spec = hs.builtin_example("sparse3_squares")
     led = hs.build_ledger(spec, 4000)
     assert reciprocal_sum_converged(led)
-    plan = hs.make_witness(spec, led, "geomean_subexponential", epsilon=1.0)
+    plan = hs.make_witness(led, "geomean_subexponential", epsilon=1.0)
     assert plan.variant == "scaled_product"
     assert plan.C == 1.0
     assert plan.log_M == pytest.approx(63 * math.log(3.0), rel=1e-12)  # 63 squares below 4001
@@ -80,14 +80,14 @@ def test_plan_epsilon_must_be_positive_and_finite(eps):
         hs.PerturbationPlan(variant="phase_aligned", epsilon=eps)
     led = hs.build_ledger(hs.builtin_example("alternating_2_half"), 50)
     with pytest.raises(ValueError):
-        hs.make_witness(hs.builtin_example("alternating_2_half"), led, "bounded_products", eps)
+        hs.make_witness(led, "bounded_products", eps)
 
 
 def test_make_witness_rejects_stable_criteria():
     spec = hs.builtin_example("alternating_2_half")
     led = hs.build_ledger(spec, 50)
     with pytest.raises(ValueError, match="'periodic_contracting' is not an instability criterion"):
-        hs.make_witness(spec, led, "periodic_contracting", 1.0)
+        hs.make_witness(led, "periodic_contracting", 1.0)
 
 
 def test_budget_exact_across_plans():
@@ -105,7 +105,7 @@ def test_oracle_zero_perturbations_zero_at_zero():
     spec = hs.builtin_example("alternating_2_half")
     led = hs.build_ledger(spec, 100)
     orbit = hs.perturbed_orbit(spec, 1.0, padded(np.zeros(99)), 0.0)
-    res = hs.best_shadow_oracle(orbit, spec, led, 100)
+    res = hs.best_shadow_oracle(orbit, led, 100)
     assert res.value == 0.0
     assert res.d == 0.0
     assert res.z1 == orbit.w1
@@ -144,7 +144,7 @@ def test_oracle_expanding_matches_series_prediction():
     led = hs.build_ledger(spec, N)
     r = hs.realize_plan(hs.PerturbationPlan(variant="phase_aligned", epsilon=eps), led, N)
     orbit = hs.perturbed_orbit(spec, 0.2 + 0.4j, r, eps)
-    res = hs.best_shadow_oracle(orbit, spec, led, N)
+    res = hs.best_shadow_oracle(orbit, led, N)
     assert res.value <= eps * (1 + 1e-9)
     assert res.value == pytest.approx(eps, rel=0.05)
     # the optimal start is the reciprocal series
@@ -159,14 +159,14 @@ def test_oracle_dominates_shadow_constructions():
     led_c = hs.build_ledger(spec_c, 400)
     orbit_c = hs.perturbed_orbit(spec_c, 1 - 1j, padded(eps * random_disc(rng, 399)), eps)
     shadow_c = hs.shadow_contracting(orbit_c, spec_c, led_c)
-    oracle_c = hs.best_shadow_oracle(orbit_c, spec_c, led_c, 400)
+    oracle_c = hs.best_shadow_oracle(orbit_c, led_c, 400)
     assert oracle_c.value <= shadow_c.sup_error * (1 + 1e-12)
     # expanding side
     spec_e = hs.builtin_example("constant", a=2, b=5)
     led_e = hs.build_ledger(spec_e, 400)
     orbit_e = hs.perturbed_orbit(spec_e, 0.5, padded(eps * random_disc(rng, 399)), eps)
     shadow_e = hs.shadow_expanding(orbit_e, spec_e, led_e)
-    oracle_e = hs.best_shadow_oracle(orbit_e, spec_e, led_e, 400)
+    oracle_e = hs.best_shadow_oracle(orbit_e, led_e, 400)
     assert oracle_e.value <= shadow_e.sup_error * (1 + 1e-12)
 
 
@@ -175,11 +175,11 @@ def test_oracle_growth_factor_alternating():
     N = 1600
     spec = hs.builtin_example("alternating_2_half")
     led = hs.build_ledger(spec, N)
-    plan = hs.make_witness(spec, led, "bounded_products", eps)
+    plan = hs.make_witness(led, "bounded_products", eps)
     r = hs.realize_plan(plan, led, N)
     orbit = hs.perturbed_orbit(spec, 0.0, r, eps)
-    v_lo = hs.best_shadow_oracle(orbit, spec, led, N // 4).value
-    v_hi = hs.best_shadow_oracle(orbit, spec, led, N).value
+    v_lo = hs.best_shadow_oracle(orbit, led, N // 4).value
+    v_hi = hs.best_shadow_oracle(orbit, led, N).value
     assert v_hi / v_lo >= 3.0
 
 
@@ -208,7 +208,7 @@ def test_phase_aligned_error_identity():
 def test_run_witness_curve_monotone_and_csv():
     spec = hs.builtin_example("alternating_2_half")
     led = hs.build_ledger(spec, 512)
-    plan = hs.make_witness(spec, led, "bounded_products", 0.5)
+    plan = hs.make_witness(led, "bounded_products", 0.5)
     curve = hs.run_witness(spec, plan, 512, ledger=led)
     vals = curve.values
     assert np.all(np.diff(vals) >= 0)
@@ -231,7 +231,7 @@ def test_default_prefixes_contain_quarter_and_full():
 def test_plan_json_round_trip_fields():
     spec = hs.builtin_example("sparse3_squares")
     led = hs.build_ledger(spec, 1000)
-    plan = hs.make_witness(spec, led, "geomean_subexponential", 2.0)
+    plan = hs.make_witness(led, "geomean_subexponential", 2.0)
     doc = plan.to_json()
     assert doc["variant"] == "scaled_product"
     assert doc["epsilon"] == 2.0
@@ -252,7 +252,7 @@ def test_plan_json_is_strict_past_float_range():
     # log_M in place of a linear M of Infinity.
     spec = hs.builtin_example("constant", a=2, b=5)
     led = hs.build_ledger(spec, 2000)
-    plan = hs.make_witness(spec, led, "linear_growth_products", 1.0)
+    plan = hs.make_witness(led, "linear_growth_products", 1.0)
 
     def refuse(name):
         raise ValueError(f"non-strict JSON constant {name}")
@@ -330,7 +330,7 @@ def assert_certified(p, R, res, tol):
 def test_oracle_certificate_zero_in_hull_of_active_gradients(case):
     spec, led, N, r, eps, _ = case
     orbit = hs.perturbed_orbit(spec, 0.3 - 0.1j, r, eps)
-    res = hs.best_shadow_oracle(orbit, spec, led, N)
+    res = hs.best_shadow_oracle(orbit, led, N)
     p, R = naive_constraints(spec, r, N)
     assert_certified(p, R, res, 1e-14 * eps)
 
@@ -340,7 +340,7 @@ def test_oracle_certificate_zero_in_hull_of_active_gradients(case):
 def test_oracle_beats_naive_objective_at_other_starts(case):
     spec, led, N, r, eps, rng = case
     orbit = hs.perturbed_orbit(spec, 1.0 + 0.5j, r, eps)
-    res = hs.best_shadow_oracle(orbit, spec, led, N)
+    res = hs.best_shadow_oracle(orbit, led, N)
     p, R = naive_constraints(spec, r, N)
     starts = [0.0j, -R[-1] / p[-1]]  # equal start, and the reciprocal series S_{N-1}
     for scale in (1e-6, 1e-3, 1e-1):
@@ -359,7 +359,7 @@ def test_oracle_certified_on_builtin_witnesses(name, N, variant):
     plan = _plan(spec, led, variant, 0.5)
     r = hs.realize_plan(plan, led, N)
     orbit = hs.perturbed_orbit(spec, 0.0, r, 0.5)
-    res = hs.best_shadow_oracle(orbit, spec, led, N)
+    res = hs.best_shadow_oracle(orbit, led, N)
     p, R = naive_constraints(spec, r, N)
     assert_certified(p, R, res, 0.0)
     for d in (0.0, -R[-1] / p[-1], res.d + 1e-4 * (1 + abs(res.d)), res.d - 1e-4j * (1 + abs(res.d))):
@@ -371,9 +371,9 @@ def test_oracle_sparse3_squares_regression():
     N = 16000
     spec = hs.builtin_example("sparse3_squares")
     led = hs.build_ledger(spec, N)
-    plan = hs.make_witness(spec, led, "linear_growth_products", 1.0)
+    plan = hs.make_witness(led, "linear_growth_products", 1.0)
     orbit = hs.perturbed_orbit(spec, 0.0, hs.realize_plan(plan, led, N), 1.0)
-    res = hs.best_shadow_oracle(orbit, spec, led, N)
+    res = hs.best_shadow_oracle(orbit, led, N)
     assert res.value == pytest.approx(280.0 / 3.0, rel=1e-9)
 
 
@@ -387,7 +387,7 @@ def test_oracle_log_domain_phase_aligned(a, N, factor):
     assert abs(led.logmag[N]) > 1000
     r = hs.realize_plan(hs.PerturbationPlan(variant="phase_aligned", epsilon=eps), led, N)
     orbit = hs.perturbed_orbit(spec, 0.2 + 0.4j, r, eps)
-    res = hs.best_shadow_oracle(orbit, spec, led, N)
+    res = hs.best_shadow_oracle(orbit, led, N)
     assert res.value == pytest.approx(factor * eps, rel=1e-12)
     assert res.log10_value == pytest.approx(math.log10(factor * eps), rel=1e-12)
 
@@ -410,7 +410,7 @@ def assert_curve_matches_cold_oracle(spec, led, plan, N, w1=0.2 - 0.3j, prefixes
     with mock.patch.object(witness, "_Objective", Counted):
         curve = hs.run_witness(spec, plan, N, ledger=led, prefixes=prefixes)
     orbit = hs.perturbed_orbit(spec, w1, hs.realize_plan(plan, led, N), plan.epsilon)
-    cold = [hs.best_shadow_oracle(orbit, spec, led, int(n)).value for n in curve.ns]
+    cold = [hs.best_shadow_oracle(orbit, led, int(n)).value for n in curve.ns]
     np.testing.assert_allclose(curve.values, np.maximum.accumulate(cold), rtol=1e-12, atol=0.0)
     return {int(np.argmax(led.logmag[2 : int(n) + 1])) for n in curve.ns}, len(builds)
 
@@ -501,7 +501,7 @@ def test_run_witness_matches_cold_oracle_on_unimodular_cycles(seed, k, N):
 def test_run_witness_matches_cold_oracle_on_near_parabolic(alpha, N):
     spec = hs.builtin_example("near_parabolic", alpha=alpha)
     led = hs.build_ledger(spec, N)
-    plan = hs.make_witness(spec, led, "geomean_subexponential", 0.5)
+    plan = hs.make_witness(led, "geomean_subexponential", 0.5)
     assert_curve_matches_cold_oracle(spec, led, plan, N)
 
 
