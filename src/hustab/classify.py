@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import IndexOutOfRange
 from .products import (
     PartialProductLedger,
     build_ledger,
@@ -186,6 +187,8 @@ def classify_numeric(ledger: PartialProductLedger) -> StabilityVerdict:
     else is Undetermined. All verdicts carry their estimates.
     """
     N = ledger.horizon
+    if N < 2:  # the window starts at n = 2
+        raise IndexOutOfRange(f"horizon must be >= 2, got {N}")
     L = ledger.logmag
     w0 = max(2, int(N * (1.0 - WINDOW)) + 1)
     ns = np.arange(w0, N + 1)

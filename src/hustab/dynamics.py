@@ -27,7 +27,8 @@ from itertools import repeat
 import numpy as np
 
 from .errors import IndexOutOfRange, TailNotConvergent
-from .products import PartialProductLedger, _csv_text, scaled_cumsum
+from .csvtext import csv_text
+from .products import PartialProductLedger, scaled_cumsum
 from .sequences import CoefficientSpec, coeff_arrays
 
 _LN10 = math.log(10.0)
@@ -244,7 +245,7 @@ def shadow_expanding(orbit: PerturbedOrbit, spec: CoefficientSpec,
 
 def trajectory_csv(traj: Trajectory) -> str:
     z = traj.values[1:]
-    return _csv_text("n,re_z,im_z", np.arange(1, len(z) + 1), z.real, z.imag)
+    return csv_text("n,re_z,im_z", np.arange(1, len(z) + 1), z.real, z.imag)
 
 
 def shadow_csv(result: ShadowResult, orbit: PerturbedOrbit) -> str:
@@ -252,4 +253,4 @@ def shadow_csv(result: ShadowResult, orbit: PerturbedOrbit) -> str:
     z = result.trajectory.values[1 : N + 1]
     w = orbit.values[1:]
     cols = (z.real, z.imag, w.real, w.imag, result.errors[1 : N + 1], result.log10_errors[1 : N + 1])
-    return _csv_text("n,re_z,im_z,re_w,im_w,abs_err,log10_abs_err", np.arange(1, N + 1), *cols)
+    return csv_text("n,re_z,im_z,re_w,im_w,abs_err,log10_abs_err", np.arange(1, N + 1), *cols)

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 import bisect
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -48,112 +46,6 @@ class PartialProductLedger:
     @cached_property
     def phase(self) -> np.ndarray:
         return _prefix_sums(self.spec, self.horizon, "arg")
-
-
-# Fewest rows a forked slice gets. Forking and reaping a child and the
-# copy-on-write faults after the fork cost this process about 5 ms (measured
-# at 60-100 MB resident); a shadow row, with its two always distinct error
-# columns, takes 2-7 us to format, so a slice of 8192 rows is 3-10 times the
-# cost of its fork.
-_FORK_MIN_ROWS = 8192
-_BLOCK_ROWS = 4096
-
-
-def _csv_text(header: str, *columns: np.ndarray) -> str:
-    """The header, then per row the comma-joined repr of each column's entry
-    as a Python int or float, which prints every float round-trip exact.
-
-    The bytes do not depend on how the rows are formatted: a large table is
-    split into one row slice per CPU this process may run on, the later
-    slices formatted in forked children. A process with live threads, or
-    without os.fork, formats every row itself."""
-    n = len(columns[0])
-    children = _child_count(n)
-    bounds = [n * i // (children + 1) for i in range(children + 2)]
-    return "".join([header + "\n", *_forked_rows(columns, bounds)])
-
-
-def _child_count(rows: int) -> int:
-    """One forked child for each CPU this process may run on but one; none
-    when this process may not fork (no os.fork, or another thread alive),
-    and fewer where a slice would get under _FORK_MIN_ROWS rows."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() != 1:
-        return 0
-    return max(0, min(len(os.sched_getaffinity(0)), rows // _FORK_MIN_ROWS) - 1)
-
-
-def _forked_rows(columns: tuple[np.ndarray, ...], bounds: list[int]) -> list[str]:
-    """The text of the row slices [bounds[i], bounds[i+1]), in order.
-    Slice 0 is formatted here while forked children format the later
-    slices. A slice whose child could not be made or did not exit cleanly
-    is formatted here, and every child is reaped, also when this raises."""
-    pids, pipes = {}, {}
-    try:
-        for i in range(1, len(bounds) - 1):
-            child = _fork_slice(columns, bounds[i], bounds[i + 1])
-            if child is None:  # the slices left are formatted here
-                break
-            pids[i], pipes[i] = child
-        parts = []
-        for i in range(len(bounds) - 1):
-            if i in pids:
-                with open(pipes.pop(i), "rb") as pipe:
-                    data = pipe.read()
-                _, status = os.waitpid(pids[i], 0)
-                del pids[i]
-                if os.waitstatus_to_exitcode(status) == 0:
-                    parts.append(data.decode("ascii"))
-                    continue
-            parts += _csv_rows(columns, bounds[i], bounds[i + 1])
-        return parts
-    finally:
-        for r in pipes.values():
-            os.close(r)
-        for pid in pids.values():
-            os.waitpid(pid, 0)
-
-
-def _fork_slice(columns: tuple[np.ndarray, ...], start: int, stop: int) -> tuple[int, int] | None:
-    """The pid and the pipe's read end of a child that writes rows
-    start..stop-1 to the pipe as ASCII, or None when no process can be
-    made."""
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # out of processes or memory
-        os.close(r)
-        os.close(w)
-        return None
-    if pid == 0:  # the child: leave by os._exit, running no exit handler
-        code = 1
-        try:
-            os.close(r)
-            blocks = _csv_rows(columns, start, stop)
-            with open(w, "wb") as pipe:
-                pipe.writelines(block.encode("ascii") for block in blocks)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
-def _csv_rows(columns: tuple[np.ndarray, ...], start: int, stop: int) -> list[str]:
-    """Rows start..stop-1 of the table, each ending in a newline, as one
-    string per block of rows: no list of row strings outlives its block."""
-    blocks = []
-    for lo in range(start, stop, _BLOCK_ROWS):
-        cells = [_reprs(c[lo : min(lo + _BLOCK_ROWS, stop)]) for c in columns]
-        blocks.append("\n".join([*map(",".join, zip(*cells)), ""]))
-    return blocks
-
-
-def _reprs(values: np.ndarray) -> list[str]:
-    """repr of each entry as a Python scalar, computed once per distinct bit
-    pattern, so -0.0 and 0.0 (and NaN payloads) stay apart."""
-    unique, inverse = np.unique(values.view(f"u{values.itemsize}"), return_inverse=True)
-    texts = np.array(list(map(repr, unique.view(values.dtype).tolist())), dtype=object)
-    return texts[inverse].tolist()
 
 
 def build_ledger(spec: CoefficientSpec, horizon: int) -> PartialProductLedger:

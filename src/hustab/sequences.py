@@ -80,10 +80,13 @@ class CoefficientSpec:
 
     @cached_property
     def _slots(self) -> np.ndarray:
-        """The (2, k) complex array whose rows are the a and the b of the
-        listed entries, entry j in slot j - 1, each row contiguous (np.take
+        """The (2, k + 1) complex array whose rows are the a and the b of the
+        listed entries, entry j in slot j and the last entry in slot 0 as
+        well, so index n reads slot n, or slot n % k in a cycle of k from
+        entry 1, with no index temporary; each row contiguous (np.take
         copies a strided source whole)."""
-        return np.ascontiguousarray(np.asarray(self.entries, complex).T)
+        entries = np.asarray(self.entries, complex)
+        return np.ascontiguousarray(np.concatenate([entries[-1:], entries]).T)
 
     @cached_property
     def _log_abs(self) -> np.ndarray:
@@ -104,11 +107,15 @@ class CoefficientSpec:
         # math.atan2 is cmath.phase without its refusal of a subnormal angle
         return np.fromiter(map(math.atan2, a.imag.tolist(), a.real.tolist()), float, len(a))
 
-    def _entry_column(self, name: str) -> np.ndarray:
+    def _entry_slots(self, name: str) -> np.ndarray:
         """Column name of the entry slots; a and b are rows of _slots."""
         if name in ("a", "b"):
             return self._slots[COLUMNS.index(name)]
         return self._log_abs if name == "log_abs" else self._arg
+
+    def _entry_column(self, name: str) -> np.ndarray:
+        """Column name of the listed entries, entry j at j - 1."""
+        return self._entry_slots(name)[1:]
 
 
 def _formula_column(fam: FormulaSpec, n: np.ndarray, name: str) -> np.ndarray:
@@ -165,10 +172,10 @@ def coeff_arrays(spec: CoefficientSpec, n, *columns: str) -> tuple[np.ndarray, .
         size, start = len(spec.entries), spec.cycle_start
         if start is None and n.size and n.max() > size:
             raise IndexOutOfRange(f"table of length {size} read at n={int(n[n > size][0])} with error tail")
-        k = n - 1
+        slot = n
         if start is not None and start < size:  # a cycle of more than one entry starts at entry 1
-            k %= size
-        out = tuple(spec._entry_column(c).take(k, mode="clip") for c in columns)
+            slot = n % size
+        out = tuple(spec._entry_slots(c).take(slot, mode="clip") for c in columns)
     for name, col in zip(columns, out):
         if name in ("a", "log_abs"):  # name the first index whose a_n = 0
             zero = col == (0 if name == "a" else -math.inf)
@@ -203,7 +210,7 @@ def validate(spec: CoefficientSpec) -> CoefficientSpec:
         raise InvalidSpec(f"{spec.kind} spec has no entries")
     if spec.kind == "table" and spec.tail not in TAIL_RULES:
         raise ValueError(f"table tail rule must be one of {TAIL_RULES}, got {spec.tail!r}")
-    (a, b), log_mag = spec._slots, spec._log_abs
+    a, b, log_mag = (spec._entry_column(c) for c in ("a", "b", "log_abs"))
     bad = ~(np.isfinite(a) & np.isfinite(b))
     if bad.any():
         k = int(np.argmax(bad))

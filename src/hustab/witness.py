@@ -21,11 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classify import UNSTABLE_CRITERIA, log_scaled
+from .csvtext import csv_text
 from .dynamics import PerturbedOrbit, _series_term_logs
 from .errors import IndexOutOfRange
 from .products import (
     PartialProductLedger,
-    _csv_text,
     _floored_exp,
     build_ledger,
     scaled_cumsum,
@@ -103,7 +103,7 @@ class DivergenceCurve:
     def to_csv(self) -> str:
         with np.errstate(divide="ignore"):
             logs = np.log10(self.values)
-        return _csv_text("n,d_n,log10_d_n", self.ns.astype(int), self.values, logs)
+        return csv_text("n,d_n,log10_d_n", self.ns.astype(int), self.values, logs)
 
 
 def reciprocal_sum_converged(ledger: PartialProductLedger) -> bool:

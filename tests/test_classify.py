@@ -222,6 +222,14 @@ def test_horizon_too_small():
     assert hs.classify_numeric(hs.build_ledger(spec, 100)).horizon == 100
 
 
+def test_numeric_verdict_refuses_a_horizon_1_ledger():
+    # The windowed L_n / n starts at n = 2: a ledger of one index has none.
+    ledger = hs.build_ledger(hs.builtin_example("sparse3_squares"), 1)
+    with pytest.raises(hs.errors.IndexOutOfRange, match=r"^horizon must be >= 2, got 1$"):
+        hs.classify_numeric(ledger)
+    assert hs.classify_numeric(hs.build_ledger(hs.builtin_example("sparse3_squares"), 2)).horizon == 2
+
+
 def test_tracking_constant_values():
     N = 2000
     assert hs.classify(hs.builtin_example("constant", a=0.5, b=5), N).constant == pytest.approx(2.0, rel=1e-12)

@@ -381,8 +381,8 @@ def test_summary_alone_formats_no_csv(tmp_path, capsys, monkeypatch, argv):
     def refuse(*args):
         raise AssertionError("CSV formatted for a summary-only run")
 
-    monkeypatch.setattr(hs.dynamics, "_csv_text", refuse)
-    monkeypatch.setattr(hs.witness, "_csv_text", refuse)
+    monkeypatch.setattr(hs.dynamics, "csv_text", refuse)
+    monkeypatch.setattr(hs.witness, "csv_text", refuse)
     assert run(capsys, *argv) == (0, with_out, "")
 
 
@@ -422,7 +422,7 @@ def test_public_names_are_pinned():
         "BUILTIN_NAMES", "CoefficientSpec", "DivergenceCurve", "OracleResult",
         "PartialProductLedger", "PerturbationPlan", "PerturbedOrbit", "ShadowResult",
         "StabilityVerdict", "Trajectory", "best_shadow_oracle", "build_ledger", "builtin_example", "classify",
-        "classify_numeric", "classify_periodic", "coeff_arrays", "constant_spec", "dynamics", "errors",
+        "classify_numeric", "classify_periodic", "coeff_arrays", "constant_spec", "csvtext", "dynamics", "errors",
         "iterate", "make_witness", "periodic_spec", "perturbed_orbit", "products",
         "realize_plan", "run_witness", "sequences", "shadow_contracting", "shadow_expanding", "spec_from_json",
         "spec_to_json", "table_spec", "tracking_sum_max", "validate", "witness",
