@@ -32,17 +32,37 @@ from .classify import (
 from .errors import InvalidSpec, StabilityToolError, TailNotConvergent
 from .products import build_ledger
 
+# Smallest spec file, in bytes, read by spectext.read rather than json.loads.
+# With spec_from_json after each (2 CPUs, one process, alternated): a 33 KB
+# table took the reader 1.50-1.53 ms against 1.36-1.39 ms, a 66 KB one
+# 2.17-2.29 ms against 2.62-2.81 ms. A process's first large spec also
+# builds the reader's tables, about 2 ms.
+_SPECTEXT_MIN_BYTES = 1 << 16
+
 
 def _build_spec(cfg: argparse.Namespace) -> sequences.CoefficientSpec:
     if (cfg.builtin is None) == (cfg.spec_path is None):
         raise ValueError("give exactly one of --builtin NAME or --spec PATH")
     if cfg.spec_path is not None:
-        try:
-            data = json.loads(Path(cfg.spec_path).read_text())
-        except RecursionError:
-            raise InvalidSpec("spec JSON nests too deeply") from None
-        return sequences.spec_from_json(data)
+        return sequences.spec_from_json(_read_spec(Path(cfg.spec_path)))
     return sequences.builtin_example(cfg.builtin, alpha=cfg.alpha, p=cfg.p, a=cfg.a, b=cfg.b)
+
+
+def _read_spec(path: Path) -> dict:
+    """The spec document at path. A file of _SPECTEXT_MIN_BYTES or more is
+    read by spectext.read, which makes no Python object per number of a
+    table or period; a smaller file, or a document that reader refuses,
+    by json.loads."""
+    if path.stat().st_size >= _SPECTEXT_MIN_BYTES:
+        from . import spectext  # imported here: no command's start-up pays for it
+
+        doc = spectext.read(path.read_bytes())
+        if doc is not None:
+            return doc
+    try:
+        return json.loads(path.read_text())
+    except RecursionError:
+        raise InvalidSpec("spec JSON nests too deeply") from None
 
 
 def _dump_json(data: dict) -> str:

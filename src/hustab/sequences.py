@@ -364,6 +364,8 @@ def _field(doc: dict, key: str, kind: type, where: str):
 def spec_from_json(data: dict) -> CoefficientSpec:
     """The spec a wire-format document describes, validated.
 
+    A table's or a period's list of pairs may be given as the read-only
+    (n, 4) float64 array that spectext.read puts in its place.
     Raises InvalidSpec when the document is not an object, lacks a field
     its kind needs or holds it with the wrong JSON type, or has a pair that
     is not four numbers; validate then rejects non-finite values.
@@ -380,7 +382,11 @@ def spec_from_json(data: dict) -> CoefficientSpec:
         if not isinstance(params, dict):
             raise InvalidSpec(f"formula params must be a JSON object, got {params!r}")
         return validate(CoefficientSpec(kind="formula", formula=FormulaSpec(name, dict(params))))
-    pairs = _field(data, _WIRE_FIELDS[kind], list, f"a {kind} spec")
-    entries = _entries_from_lists([pairs] if kind == "constant" else pairs)
+    pairs = data.get(_WIRE_FIELDS[kind])
+    if kind != "constant" and isinstance(pairs, np.ndarray):
+        entries = _read_only(pairs.view(complex).reshape(-1, 2))
+    else:
+        pairs = _field(data, _WIRE_FIELDS[kind], list, f"a {kind} spec")
+        entries = _entries_from_lists([pairs] if kind == "constant" else pairs)
     tail = data.get("tail", "error") if kind == "table" else "error"
     return validate(CoefficientSpec(kind=kind, entries=entries, tail=tail))
