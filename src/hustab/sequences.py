@@ -361,11 +361,25 @@ def _field(doc: dict, key: str, kind: type, where: str):
     return val
 
 
+def _is_read_pairs(pairs) -> bool:
+    """Whether pairs is an array of the form spectext.read makes."""
+    return (
+        isinstance(pairs, np.ndarray)
+        and pairs.dtype == np.float64
+        and pairs.ndim == 2
+        and pairs.shape[1] == 4
+        and pairs.flags.owndata
+        and not pairs.flags.writeable
+    )
+
+
 def spec_from_json(data: dict) -> CoefficientSpec:
     """The spec a wire-format document describes, validated.
 
-    A table's or a period's list of pairs may be given as the read-only
-    (n, 4) float64 array that spectext.read puts in its place.
+    A table's or a period's list of pairs may be given as the array that
+    spectext.read puts in its place: (n, 4) float64, read-only and owning
+    its data, so nothing else can write to the spec's entries. Any other
+    array is refused as any other non-list is.
     Raises InvalidSpec when the document is not an object, lacks a field
     its kind needs or holds it with the wrong JSON type, or has a pair that
     is not four numbers; validate then rejects non-finite values.
@@ -383,7 +397,7 @@ def spec_from_json(data: dict) -> CoefficientSpec:
             raise InvalidSpec(f"formula params must be a JSON object, got {params!r}")
         return validate(CoefficientSpec(kind="formula", formula=FormulaSpec(name, dict(params))))
     pairs = data.get(_WIRE_FIELDS[kind])
-    if kind != "constant" and isinstance(pairs, np.ndarray):
+    if kind != "constant" and _is_read_pairs(pairs):
         entries = _read_only(pairs.view(complex).reshape(-1, 2))
     else:
         pairs = _field(data, _WIRE_FIELDS[kind], list, f"a {kind} spec")

@@ -445,3 +445,38 @@ def test_constant_reads_and_classifies_as_a_cycle_of_one(a, b):
         assert (_bits(got.view(float)) == _bits(want.view(float))).all()
     v0, v1 = hs.classify(const), hs.classify(cycle)
     assert (v0.status, v0.criterion, v0.log_constant) == (v1.status, v1.criterion, v1.log_constant)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: _frozen(v.astype(np.int64)),  # would read as denormals bit for bit
+    lambda v: v.copy(),  # writable: the caller could change the spec later
+    lambda v: _frozen(v.copy()[:]),  # a read-only view of a writable array
+    lambda v: _frozen(np.ascontiguousarray(v[:, :3])),
+    lambda v: _frozen(v.astype(object)),
+    lambda v: _frozen(v.reshape(-1)),
+    lambda v: _frozen(v.astype(np.float32)),
+], ids=["int64", "writable", "view", "three-columns", "object", "flat", "float32"])
+def test_spec_from_json_refuses_arrays_the_reader_does_not_make(make):
+    values = np.array([[2, 0, 5, 0], [3, 1, 0, 0]], float)
+    for kind, key in (("periodic", "period"), ("table", "table")):
+        pairs = make(values)
+        with pytest.raises(InvalidSpec, match=f"needs a '{key}' field holding a JSON array"):
+            spec_from_json({"kind": kind, key: pairs})
+
+
+def test_spec_from_json_takes_the_readers_array_as_the_list():
+    values = np.array([[2, 0, 5, 0], [3, 1, 0, 0]], float)
+    for kind, key in (("periodic", "period"), ("table", "table")):
+        got = spec_from_json({"kind": kind, key: _frozen(values.copy())})
+        want = spec_from_json({"kind": kind, key: values.tolist()})
+        assert got.entries.tolist() == want.entries.tolist() and got.kind == want.kind
+    with pytest.raises(InvalidSpec) as want:
+        spec_from_json({"kind": "table", "table": []})
+    with pytest.raises(InvalidSpec) as got:
+        spec_from_json({"kind": "table", "table": _frozen(np.empty((0, 4)))})
+    assert str(got.value) == str(want.value)
