@@ -33,10 +33,11 @@ from .errors import InvalidSpec, StabilityToolError, TailNotConvergent
 from .products import build_ledger
 
 # Smallest spec file, in bytes, read by spectext.read rather than json.loads.
-# With spec_from_json after each (2 CPUs, one process, alternated): a 33 KB
-# table took the reader 1.50-1.53 ms against 1.36-1.39 ms, a 66 KB one
-# 2.17-2.29 ms against 2.62-2.81 ms. A process's first large spec also
-# builds the reader's tables, about 2 ms.
+# With the file read and spec_from_json after each (best and median of 15,
+# 2 CPUs, one process, alternated): a 33 KB table took the reader 1.06 and
+# 1.21 ms against 1.01 and 1.07 ms, a 66 KB one 1.53 and 1.73 ms against
+# 1.93 and 2.08 ms. A process's first large spec also builds the reader's
+# tables, about 2 ms.
 _SPECTEXT_MIN_BYTES = 1 << 16
 
 
